@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from .distances import get_measure, pairwise_distances
+from .distances import get_measure, pairwise_distances, parse_measure, sq_euclidean_gram
 from .histograms import FeatureHistogram
 
 DEFAULT_K = 100
@@ -73,12 +73,23 @@ def _as_matrix(descriptors) -> np.ndarray:
     return x
 
 
+def _is_euclidean(distance_id: str) -> bool:
+    return parse_measure(distance_id)[1].get("r") == 2.0
+
+
+def _center_distances(x: np.ndarray, centers: np.ndarray, distance_id: str) -> np.ndarray:
+    """(n, k) row-to-center distances, Euclidean ones by the inner-product form."""
+    if _is_euclidean(distance_id):
+        return np.sqrt(sq_euclidean_gram(x, centers))
+    return pairwise_distances(distance_id, x, centers)
+
+
 def _kmeans_pp_init(x: np.ndarray, k: int, distance_id: str, rng) -> np.ndarray:
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d = pairwise_distances(distance_id, x, centers[:1])[:, 0] ** 2
+    d = _center_distances(x, centers[:1], distance_id)[:, 0] ** 2
     for j in range(1, k):
         total = d.sum()
         if total <= 0:
@@ -88,7 +99,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, distance_id: str, rng) -> np.ndarray:
         else:
             idx = int(rng.choice(n, p=d / total))
         centers[j] = x[idx]
-        d = np.minimum(d, pairwise_distances(distance_id, x, centers[j : j + 1])[:, 0] ** 2)
+        d = np.minimum(d, _center_distances(x, centers[j : j + 1], distance_id)[:, 0] ** 2)
     return centers
 
 
@@ -115,12 +126,12 @@ def kmeans(
         raise ValueError(f"need at least k={k} distinct descriptors, have {n_distinct}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(x, k, distance_id, rng)
-    euclid = distance_id in ("euclidean", "minkowski", "minkowski:2", "minkowski:2.0")
+    euclid = _is_euclidean(distance_id)
 
     assign = np.full(x.shape[0], -1)
     costs: List[float] = []
     for _ in range(max_iter):
-        dists = pairwise_distances(distance_id, x, centers)
+        dists = _center_distances(x, centers, distance_id)
         new_assign = dists.argmin(axis=1)
         nearest = dists[np.arange(x.shape[0]), new_assign]
         cost = float((nearest**2).sum()) if euclid else float(nearest.sum())
@@ -173,7 +184,7 @@ def quantize(x, vocab: Vocabulary) -> int:
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (vocab.dim,):
         raise ValueError(f"descriptor dim {v.shape} does not match vocabulary ({vocab.dim},)")
-    d = pairwise_distances(vocab.distance_id, v[None, :], vocab.centers)[0]
+    d = _center_distances(v[None, :], vocab.centers, vocab.distance_id)[0]
     return int(d.argmin())
 
 
@@ -187,7 +198,7 @@ def encode_image(descriptors, vocab: Vocabulary) -> BowVector:
     if x.size == 0:
         raise ValueError("cannot encode an image with no descriptors")
     x = _as_matrix(x)
-    d = pairwise_distances(vocab.distance_id, x, vocab.centers)
+    d = _center_distances(x, vocab.centers, vocab.distance_id)
     words = d.argmin(axis=1)
     counts = np.bincount(words, minlength=vocab.k).astype(np.float64)
     return BowVector(counts / counts.sum())

@@ -13,13 +13,12 @@ Two classifier families share the model container:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distances import get_measure, pairwise_distances
+from .distances import pairwise_distances, sq_euclidean_gram
 
 UNKNOWN = "UNKNOWN"
 
@@ -56,23 +55,7 @@ class KernelSpec:
 
 def kernel(x, y, spec: KernelSpec) -> float:
     """Evaluate one kernel entry K(x, y)."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if spec.kind == "linear":
-        return float(a @ b + spec.c)
-    if spec.kind == "rbf":
-        d2 = float(((a - b) ** 2).sum())
-        return math.exp(-d2 / (2.0 * spec.sigma**2))
-    if spec.kind == "chi2":
-        if (a < 0).any() or (b < 0).any():
-            raise ValueError("chi2 kernel requires non-negative inputs")
-        num = (a - b) ** 2
-        den = 0.5 * (a + b)
-        mask = den > 0
-        return float(1.0 - (num[mask] / den[mask]).sum())
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+    return float(gram_matrix(x, y, spec)[0, 0])
 
 
 def gram_matrix(xa: np.ndarray, xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -84,21 +67,11 @@ def gram_matrix(xa: np.ndarray, xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.kind == "linear":
         return xa @ xb.T + spec.c
     if spec.kind == "rbf":
-        d2 = (
-            (xa * xa).sum(axis=1)[:, None]
-            + (xb * xb).sum(axis=1)[None, :]
-            - 2.0 * xa @ xb.T
-        )
-        return np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.sigma**2))
+        return np.exp(-sq_euclidean_gram(xa, xb) / (2.0 * spec.sigma**2))
     if spec.kind == "chi2":
         if (xa < 0).any() or (xb < 0).any():
             raise ValueError("chi2 kernel requires non-negative inputs")
-        out = np.empty((xa.shape[0], xb.shape[0]))
-        for i, row in enumerate(xa):
-            num = (row[None, :] - xb) ** 2
-            den = 0.5 * (row[None, :] + xb)
-            out[i] = 1.0 - np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0).sum(axis=1)
-        return out
+        return 1.0 - pairwise_distances("chi2sym", xa, xb)
     raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
 
@@ -108,7 +81,7 @@ def median_heuristic_sigma(x: np.ndarray, cap: int = 1000, seed: int = 0) -> flo
     rng = np.random.default_rng(seed)
     if x.shape[0] > cap:
         x = x[rng.choice(x.shape[0], size=cap, replace=False)]
-    d = pairwise_distances("euclidean", x, x)
+    d = np.sqrt(sq_euclidean_gram(x, x))
     vals = d[np.triu_indices(d.shape[0], k=1)]
     med = float(np.median(vals)) if vals.size else 1.0
     return med if med > 0 else 1.0
@@ -333,16 +306,7 @@ class CompositeFeature:
 
 def composite_distance(a: CompositeFeature, b: CompositeFeature) -> float:
     """Weighted sum of per-part dissimilarities."""
-    if a.config_id() != b.config_id():
-        raise ValueError(
-            f"configuration mismatch: {a.config_id()!r} vs {b.config_id()!r}"
-        )
-    total = 0.0
-    for pa, pb in zip(a.parts, b.parts):
-        if pa.weight == 0:
-            continue
-        total += pa.weight * get_measure(pa.measure_id)(pa.vector, pb.vector)
-    return total
+    return float(nn_distances([a], [("", b)])[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -362,36 +326,45 @@ class ThresholdSet:
         return ThresholdSet({str(lb): limit for lb in labels})
 
 
-def _gallery_matrices(gallery: Sequence[Tuple[str, CompositeFeature]]):
-    """Stack per-part gallery vectors for batch distance computation."""
-    labels = [lb for lb, _ in gallery]
-    ref = gallery[0][1]
-    mats = [
-        np.stack([feat.parts[i].vector for _, feat in gallery])
-        for i in range(len(ref.parts))
-    ]
-    return labels, ref, mats
-
-
 def nn_distances(
     queries: Sequence[CompositeFeature], gallery: Sequence[Tuple[str, CompositeFeature]]
 ) -> Tuple[np.ndarray, List[str]]:
     """(n_queries, n_gallery) composite distance matrix plus gallery labels."""
     if not gallery:
         raise ValueError("gallery must be non-empty")
-    labels, ref, mats = _gallery_matrices(gallery)
+    ref = gallery[0][1]
     for q in queries:
         if q.config_id() != ref.config_id():
-            raise ValueError("configuration mismatch between query and gallery")
+            raise ValueError(
+                f"configuration mismatch: {q.config_id()!r} vs {ref.config_id()!r}"
+            )
     out = np.zeros((len(queries), len(gallery)))
-    qmats = [
-        np.stack([q.parts[i].vector for q in queries]) for i in range(len(ref.parts))
-    ]
     for i, part in enumerate(ref.parts):
         if part.weight == 0:
             continue
-        out += part.weight * pairwise_distances(part.measure_id, qmats[i], mats[i])
-    return out, labels
+        qm = np.stack([q.parts[i].vector for q in queries])
+        gm = np.stack([feat.parts[i].vector for _, feat in gallery])
+        out += part.weight * pairwise_distances(part.measure_id, qm, gm)
+    return out, [lb for lb, _ in gallery]
+
+
+def nn_decide(
+    dists: np.ndarray, gallery_labels: Sequence[str], thresholds: Optional[ThresholdSet] = None
+) -> Tuple[List[str], np.ndarray]:
+    """Nearest-neighbor decision for each row of a query x gallery distance matrix.
+
+    Returns (labels, nearest distances).  The label is that of the nearest
+    gallery item, distance ties resolving to the lexically lowest label,
+    or UNKNOWN where the distance exceeds that label's threshold.
+    """
+    classes, code = np.unique(np.asarray(gallery_labels, dtype=str), return_inverse=True)
+    best = dists.min(axis=1)
+    winner = np.where(dists <= best[:, None], code[None, :], len(classes)).min(axis=1)
+    labels = [str(c) for c in classes[winner]]
+    if thresholds is not None:
+        limit = np.array([thresholds.by_label[str(c)] for c in classes])
+        labels = [UNKNOWN if b > limit[w] else lb for lb, b, w in zip(labels, best, winner)]
+    return labels, best
 
 
 def nn_classify(
@@ -404,14 +377,8 @@ def nn_classify(
     Returns (label, nearest distance).  Distance ties resolve to the
     lexically lowest label.
     """
-    dists, labels = nn_distances([query], gallery)
-    row = dists[0]
-    best = np.min(row)
-    candidates = sorted(labels[j] for j in np.nonzero(row <= best)[0])
-    label = candidates[0]
-    if best > thresholds.by_label[label]:
-        return UNKNOWN, best
-    return label, best
+    labels, best = nn_decide(*nn_distances([query], gallery), thresholds)
+    return labels[0], float(best[0])
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +440,11 @@ def ga_optimize_thresholds(
         if lb not in train_labels:
             raise ValueError(f"validation label {lb!r} missing from training set")
 
-    dists, gallery_labels = nn_distances([f for _, f in validation], train)
     # thresholds only gate the decision; the nearest item never changes
-    nearest_idx = dists.argmin(axis=1)
-    nearest_dist = dists[np.arange(len(validation)), nearest_idx]
+    nearest_label, nearest_dist = nn_decide(*nn_distances([f for _, f in validation], train))
     label_index = {lb: i for i, lb in enumerate(train_labels)}
-    nearest_class = np.array([label_index[gallery_labels[j]] for j in nearest_idx])
-    correct = np.array(
-        [gallery_labels[j] == lb for j, (lb, _) in zip(nearest_idx, validation)]
-    )
+    nearest_class = np.array([label_index[lb] for lb in nearest_label])
+    correct = np.array([got == lb for got, (lb, _) in zip(nearest_label, validation)])
 
     n_genes = len(train_labels)
     gene_range = float(max(nearest_dist.max(), 1e-12))

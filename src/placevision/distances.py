@@ -1,10 +1,10 @@
 """Histogram dissimilarity measures, bin-by-bin and cross-bin.
 
-Every measure takes two equal-length non-negative vectors (raw arrays or
-FeatureHistogram) and returns a scalar dissimilarity, 0 for identical
-inputs.  Measures are addressable by string id for CLI flags and model
-files: euclidean | minkowski:r | kl | jeffrey | chi2 | chi2sym |
-bhattacharyya | emd | match.
+Each measure is one block function mapping non-negative rows Q (nq, d)
+and G (ng, d) to an (nq, ng) dissimilarity matrix, 0 for identical rows;
+the scalar functions are its 1x1 call.  Measures are addressable by
+string id for CLI flags and model files: euclidean | minkowski:r | kl |
+jeffrey | chi2 | chi2sym | bhattacharyya | emd | match.
 
 Logarithms are natural throughout.  Zero-bin conventions: 0*log(.) = 0,
 the chi-square denominator skips empty reference bins, and KL floors the
@@ -14,7 +14,7 @@ second argument at a small epsilon.
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -25,38 +25,104 @@ _KL_EPSILON = 1e-10
 _MASS_TOLERANCE = 1e-9
 
 
-def _vec(h) -> np.ndarray:
-    bins = getattr(h, "bins", None)
-    a = np.asarray(bins if bins is not None else h, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"expected a 1-D histogram, got shape {a.shape}")
-    return a
-
-
 def _pair(h, k) -> Tuple[np.ndarray, np.ndarray]:
-    a, b = _vec(h), _vec(k)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
+    """Two histograms (arrays or FeatureHistogram) as equal-length 1-D arrays."""
+    a, b = (np.asarray(getattr(x, "bins", x), dtype=np.float64) for x in (h, k))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"expected two equal-length 1-D histograms, got {a.shape} and {b.shape}")
     return a, b
 
 
-def _require_normalized(a: np.ndarray, b: np.ndarray, measure: str) -> None:
-    for name, v in (("first", a), ("second", b)):
-        if abs(v.sum() - 1.0) > _MASS_TOLERANCE:
+def _require_normalized(measure: str, *mats: np.ndarray) -> None:
+    for name, m in zip(("first", "second"), mats):
+        sums = m.sum(axis=1)
+        bad = np.nonzero(np.abs(sums - 1.0) > _MASS_TOLERANCE)[0]
+        if bad.size:
             raise ValueError(
-                f"{measure} requires L1-normalized inputs; {name} sums to {v.sum()!r}"
+                f"{measure} requires L1-normalized inputs; {name} sums to {sums[bad[0]]!r}"
             )
+
+
+def _order(r) -> float:
+    r = float(r)
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"order r must be a finite number >= 1, got {r}")
+    return r
+
+
+def _minkowski_block(q: np.ndarray, g: np.ndarray, r: float = 2.0) -> np.ndarray:
+    d = np.abs(q[:, None, :] - g[None, :, :])
+    if r == 1.0:
+        return d.sum(axis=2)
+    return (d**r).sum(axis=2) ** (1.0 / r)
+
+
+def _kl_block(q, g, epsilon: float = _KL_EPSILON, printed_form: bool = False) -> np.ndarray:
+    _require_normalized("kullback_leibler", q, g)
+    a = q[:, None, :]
+    logs = np.where(a > 0, np.log(np.where(a > 0, a, 1.0) / np.maximum(g, epsilon)), 0.0)
+    return (logs if printed_form else a * logs).sum(axis=2)
+
+
+def _jeffrey_block(q, g) -> np.ndarray:
+    a = q[:, None, :]
+    m = a + g
+    m = np.where(m > 0, m, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = np.where(a > 0, a * np.log(np.where(a > 0, 2 * a, 1) / m), 0.0)
+        tb = np.where(g > 0, g * np.log(np.where(g > 0, 2 * g, 1) / m), 0.0)
+    return (ta + tb).sum(axis=2)
+
+
+def _chi2_block(q, g, symmetric: bool = False) -> np.ndarray:
+    a = q[:, None, :]
+    denom = 0.5 * (a + g) if symmetric else a
+    num = (a - g) ** 2
+    return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0).sum(axis=2)
+
+
+def _bhattacharyya_block(q, g) -> np.ndarray:
+    _require_normalized("bhattacharyya", q, g)
+    c = (np.sqrt(q)[:, None, :] * np.sqrt(g)[None, :, :]).sum(axis=2)
+    # roundoff can push the coefficient a hair above 1 for identical inputs
+    out = np.where(c > 0, -np.log(np.minimum(np.where(c > 0, c, 1.0), 1.0)), INFINITE_DISTANCE)
+    return np.maximum(out, 0.0)
+
+
+def _mass_gap(q, g) -> np.ndarray:
+    return np.abs(q.sum(axis=1)[:, None] - g.sum(axis=1)[None, :]) > _MASS_TOLERANCE
+
+
+def _match_block(q, g) -> np.ndarray:
+    if _mass_gap(q, g).any():
+        raise ValueError("match_distance requires equal total mass")
+    return _minkowski_block(np.cumsum(q, axis=1), np.cumsum(g, axis=1), 1.0)
+
+
+def _emd_block(q, g) -> np.ndarray:
+    """EMD under the linear |i-j| ground distance.
+
+    Equal masses take the closed form, the match distance divided by the
+    mass (Rubner et al., IJCV 2000); unequal masses go to the simplex.
+    """
+    mass = q.sum(axis=1)
+    if (mass <= 0).any() or (g.sum(axis=1) <= 0).any():
+        raise ValueError("both histograms need positive total mass")
+    unequal = _mass_gap(q, g)
+    out = _minkowski_block(np.cumsum(q, axis=1), np.cumsum(g, axis=1), 1.0) / mass[:, None]
+    for i, j in zip(*np.nonzero(unequal)):
+        out[i, j] = emd(q[i], g[j])[0]
+    return out
+
+
+def _scalar(block, h, k, **params) -> float:
+    a, b = _pair(h, k)
+    return float(block(a[None, :], b[None, :], **params)[0, 0])
 
 
 def minkowski(h, k, r: float = 2.0) -> float:
     """(sum |H_i - K_i|^r)^(1/r); r=2 is the Euclidean distance."""
-    if r < 1:
-        raise ValueError(f"order r must be >= 1, got {r}")
-    a, b = _pair(h, k)
-    d = np.abs(a - b)
-    if r == 1.0:
-        return float(d.sum())
-    return float((d**r).sum() ** (1.0 / r))
+    return _scalar(_minkowski_block, h, k, r=_order(r))
 
 
 def euclidean(h, k) -> float:
@@ -69,25 +135,12 @@ def kullback_leibler(h, k, epsilon: float = _KL_EPSILON, printed_form: bool = Fa
     ``printed_form`` drops the H_i weight (sum log(H_i/K_i) over bins
     with H_i > 0), kept only for comparison purposes.
     """
-    a, b = _pair(h, k)
-    _require_normalized(a, b, "kullback_leibler")
-    mask = a > 0
-    ratio = a[mask] / np.maximum(b[mask], epsilon)
-    if printed_form:
-        return float(np.log(ratio).sum())
-    return float((a[mask] * np.log(ratio)).sum())
+    return _scalar(_kl_block, h, k, epsilon=epsilon, printed_form=printed_form)
 
 
 def jeffrey(h, k) -> float:
     """Symmetrized divergence against the midpoint distribution."""
-    a, b = _pair(h, k)
-    m = a + b
-    out = 0.0
-    mask_a = a > 0
-    out += float((a[mask_a] * np.log(2.0 * a[mask_a] / m[mask_a])).sum())
-    mask_b = b > 0
-    out += float((b[mask_b] * np.log(2.0 * b[mask_b] / m[mask_b])).sum())
-    return out
+    return _scalar(_jeffrey_block, h, k)
 
 
 def chi_square(h, k, symmetric: bool = False) -> float:
@@ -96,35 +149,17 @@ def chi_square(h, k, symmetric: bool = False) -> float:
     The symmetric variant divides by (H_i+K_i)/2 instead, matching the
     chi-square kernel's measure.
     """
-    a, b = _pair(h, k)
-    diff2 = (a - b) ** 2
-    if symmetric:
-        denom = 0.5 * (a + b)
-    else:
-        denom = a
-    mask = denom > 0
-    return float((diff2[mask] / denom[mask]).sum())
+    return _scalar(_chi2_block, h, k, symmetric=symmetric)
 
 
 def bhattacharyya(h, k) -> float:
     """-ln sum sqrt(H_i*K_i); disjoint supports saturate to a finite sentinel."""
-    a, b = _pair(h, k)
-    _require_normalized(a, b, "bhattacharyya")
-    coeff = float(np.sqrt(a * b).sum())
-    if coeff <= 0.0:
-        return INFINITE_DISTANCE
-    # roundoff can push the coefficient a hair above 1 for identical inputs
-    return max(0.0, -math.log(min(coeff, 1.0)))
+    return _scalar(_bhattacharyya_block, h, k)
 
 
 def match_distance(h, k) -> float:
     """L1 distance between cumulative histograms; requires equal masses."""
-    a, b = _pair(h, k)
-    if abs(a.sum() - b.sum()) > _MASS_TOLERANCE:
-        raise ValueError(
-            f"match_distance requires equal total mass: {a.sum()!r} vs {b.sum()!r}"
-        )
-    return float(np.abs(np.cumsum(a) - np.cumsum(b)).sum())
+    return _scalar(_match_block, h, k)
 
 
 # ---------------------------------------------------------------------------
@@ -317,89 +352,71 @@ def _find_cycle(basis, enter):
 
 
 # ---------------------------------------------------------------------------
-# Measure registry
+# Measure registry and the chunked pairwise engine
 # ---------------------------------------------------------------------------
 
-def get_measure(measure_id: str) -> Callable[..., float]:
-    """Resolve a measure id to a scalar-valued callable of (H, K).
+# Byte budget of one (rows, ng, d) float64 intermediate; pairwise_distances
+# sizes its query-row chunks to it, so peak memory stays a small multiple of
+# this however large the query and gallery sets grow.
+_BLOCK_BYTES = 2 << 20
 
-    `minkowski:r` parses the order; bare `minkowski` means r=2.  `emd`
-    uses the linear |i-j| ground distance and returns only the cost.
+_BLOCKS = {
+    "euclidean": (_minkowski_block, {"r": 2.0}),
+    "kl": (_kl_block, {}),
+    "jeffrey": (_jeffrey_block, {}),
+    "chi2": (_chi2_block, {}),
+    "chi2sym": (_chi2_block, {"symmetric": True}),
+    "bhattacharyya": (_bhattacharyya_block, {}),
+    "emd": (_emd_block, {}),
+    "match": (_match_block, {}),
+}
+
+
+def parse_measure(measure_id: str) -> Tuple[Callable[..., np.ndarray], Dict[str, float]]:
+    """Validate a measure id; return its block function and parameters.
+
+    `minkowski:r` parses the order (r >= 1); bare `minkowski` and
+    `euclidean` mean r=2.  Raises ValueError for an unknown id or a bad
+    order.
     """
     mid = measure_id.strip().lower()
-    if mid == "euclidean":
-        return euclidean
-    if mid.startswith("minkowski"):
-        r = float(mid.split(":", 1)[1]) if ":" in mid else 2.0
-        return lambda h, k: minkowski(h, k, r)
-    if mid == "kl":
-        return kullback_leibler
-    if mid == "jeffrey":
-        return jeffrey
-    if mid == "chi2":
-        return chi_square
-    if mid == "chi2sym":
-        return lambda h, k: chi_square(h, k, symmetric=True)
-    if mid == "bhattacharyya":
-        return bhattacharyya
-    if mid == "emd":
-        return lambda h, k: emd(h, k)[0]
-    if mid == "match":
-        return match_distance
+    name, sep, arg = mid.partition(":")
+    if name == "minkowski":
+        return _minkowski_block, {"r": _order(arg if sep else 2.0)}
+    if mid in _BLOCKS:
+        return _BLOCKS[mid]
     raise ValueError(f"unknown measure id {measure_id!r}")
+
+
+def get_measure(measure_id: str) -> Callable[..., float]:
+    """Resolve a measure id to a scalar-valued callable of (H, K)."""
+    block, params = parse_measure(measure_id)
+    return lambda h, k: _scalar(block, h, k, **params)
 
 
 def pairwise_distances(measure_id: str, queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Distance matrix (len(queries), len(gallery)) under the named measure.
 
-    Vectorized for the bin-by-bin measures used in batch classification;
-    cross-bin measures fall back to a scalar loop.
+    Query rows are processed in chunks sized to `_BLOCK_BYTES`.
     """
+    block, params = parse_measure(measure_id)
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     g = np.atleast_2d(np.asarray(gallery, dtype=np.float64))
     if q.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {q.shape[1]} vs {g.shape[1]}")
-    mid = measure_id.strip().lower()
-
-    if mid == "euclidean" or mid in ("minkowski", "minkowski:2", "minkowski:2.0"):
-        qq = (q * q).sum(axis=1)[:, None]
-        gg = (g * g).sum(axis=1)[None, :]
-        d2 = np.maximum(qq + gg - 2.0 * q @ g.T, 0.0)
-        return np.sqrt(d2)
-    if mid.startswith("minkowski"):
-        r = float(mid.split(":", 1)[1]) if ":" in mid else 2.0
-        diff = np.abs(q[:, None, :] - g[None, :, :])
-        if r == 1.0:
-            return diff.sum(axis=2)
-        return (diff**r).sum(axis=2) ** (1.0 / r)
-    if mid == "jeffrey":
-        out = np.zeros((q.shape[0], g.shape[0]))
-        for i in range(q.shape[0]):
-            a = q[i][None, :]
-            m = a + g
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ta = np.where(a > 0, a * np.log(np.where(a > 0, 2 * a, 1) / np.where(m > 0, m, 1)), 0.0)
-                tb = np.where(g > 0, g * np.log(np.where(g > 0, 2 * g, 1) / np.where(m > 0, m, 1)), 0.0)
-            out[i] = (ta + tb).sum(axis=1)
-        return out
-    if mid == "bhattacharyya":
-        coeff = np.sqrt(q)[:, None, :] * np.sqrt(g)[None, :, :]
-        c = coeff.sum(axis=2)
-        out = np.where(c > 0, -np.log(np.minimum(np.where(c > 0, c, 1.0), 1.0)), INFINITE_DISTANCE)
-        return np.maximum(out, 0.0)
-    if mid in ("chi2", "chi2sym"):
-        sym = mid == "chi2sym"
-        out = np.zeros((q.shape[0], g.shape[0]))
-        for i in range(q.shape[0]):
-            a = q[i][None, :]
-            denom = 0.5 * (a + g) if sym else np.broadcast_to(a, g.shape)
-            num = (a - g) ** 2
-            out[i] = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0).sum(axis=1)
-        return out
-
-    fn = get_measure(measure_id)
-    out = np.zeros((q.shape[0], g.shape[0]))
-    for i in range(q.shape[0]):
-        for j in range(g.shape[0]):
-            out[i, j] = fn(q[i], g[j])
+    out = np.empty((q.shape[0], g.shape[0]))
+    step = max(1, _BLOCK_BYTES // max(1, 8 * g.shape[0] * g.shape[1]))
+    for s in range(0, q.shape[0], step):
+        out[s : s + step] = block(q[s : s + step], g, **params)
     return out
+
+
+def sq_euclidean_gram(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances as |q|^2 + |g|^2 - 2 q.g, clipped at 0.
+
+    One matrix product, but roundoff makes it inexact near zero, so it is
+    not the Minkowski definition.
+    """
+    return np.maximum(
+        (q * q).sum(axis=1)[:, None] + (g * g).sum(axis=1)[None, :] - 2.0 * q @ g.T, 0.0
+    )

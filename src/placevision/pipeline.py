@@ -10,6 +10,7 @@ inputs have not changed (content hashing).
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,12 +28,13 @@ from .classify import (
     GaParams,
     KernelSpec,
     ThresholdSet,
-    UNKNOWN,
     ga_optimize_thresholds,
     median_heuristic_sigma,
+    nn_decide,
     nn_distances,
     ova_train,
 )
+from .distances import parse_measure
 from .evaluate import build_report, write_report
 from .histograms import (
     hsv_histogram,
@@ -198,13 +200,11 @@ def parse_config_text(text: str) -> PipelineConfig:
         raise DataError("part weights must sum to a positive value")
     weights = [w / total for w in weights]
 
-    from .distances import get_measure
-
     parts = []
     for name, weight in zip(part_names, weights):
         measure = kv.get(f"{name}.measure", _DEFAULT_MEASURES[name])
         try:
-            get_measure(measure)
+            parse_measure(measure)
         except ValueError as exc:
             raise DataError(f"{name}.measure: {exc}") from exc
         if name == "rgb":
@@ -458,14 +458,16 @@ def load_composite(row: ManifestRow, config: PipelineConfig, out_dir) -> Composi
 
 
 def load_labeled_features(
-    manifest: Manifest, config: PipelineConfig, out_dir
+    manifest: Manifest, config: PipelineConfig, out_dir, log=print
 ) -> List[Tuple[ManifestRow, CompositeFeature]]:
+    """Composite features of the rows that have every part's artifact; each
+    row without one (unreadable image, no descriptors) is logged as a warning."""
     out = []
     for row in manifest.rows:
         try:
             out.append((row, load_composite(row, config, out_dir)))
-        except DataError:
-            continue  # rows skipped at extraction time have no artifacts
+        except DataError as exc:
+            log(f"warning: {exc}")
     if not out:
         raise DataError("no feature artifacts available for the selected rows")
     return out
@@ -488,7 +490,7 @@ def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
     """Train the configured classifier and write the model file."""
     started = time.perf_counter()
     check_features_config(out_dir, config)
-    labeled = load_labeled_features(manifest, config, out_dir)
+    labeled = load_labeled_features(manifest, config, out_dir, log)
     labels = [row.label for row, _ in labeled]
     if len(set(labels)) < 2:
         raise DataError("training needs at least two classes")
@@ -548,28 +550,23 @@ def run_predict(
             f"model was trained on configuration {model.config_id!r}, "
             f"features use {config.config_id()!r}"
         )
-    labeled = load_labeled_features(manifest, config, out_dir)
+    labeled = load_labeled_features(manifest, config, out_dir, log)
 
-    lines = ["path,predicted,score"]
     if model.kind == "svm":
-        vectors = np.stack([feat.concatenated() for _, feat in labeled])
-        scores = model.svm.scores(vectors)
+        scores = model.svm.scores(np.stack([feat.concatenated() for _, feat in labeled]))
         best = scores.argmax(axis=1)
-        for (row, _), b, srow in zip(labeled, best, scores):
-            lines.append(f"{row.path},{model.labels[int(b)]},{srow[int(b)]:.10g}")
+        predicted = [model.labels[int(b)] for b in best]
+        confidence = scores[np.arange(len(best)), best]
     else:
         dists, gallery_labels = nn_distances([f for _, f in labeled], model.gallery)
-        for (row, _), drow in zip(labeled, dists):
-            best = float(drow.min())
-            candidates = sorted(
-                gallery_labels[j] for j in np.nonzero(drow <= best)[0]
-            )
-            label = candidates[0]
-            if best > model.thresholds.by_label[label]:
-                label = UNKNOWN
-            lines.append(f"{row.path},{label},{-best:.10g}")
+        predicted, nearest = nn_decide(dists, gallery_labels, model.thresholds)
+        confidence = -nearest
     path = Path(out_dir) / "predictions.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["path", "predicted", "score"])
+        for (row, _), label, score in zip(labeled, predicted, confidence):
+            writer.writerow([row.path, label, f"{score:.10g}"])
     log(f"predictions: {len(labeled)} rows -> {path}")
     return path
 
@@ -579,15 +576,16 @@ def run_evaluate(predictions_path, manifest: Manifest, report_dir, log=print):
     pred_file = Path(predictions_path)
     if not pred_file.exists():
         raise DataError(f"missing predictions file {pred_file}")
-    lines = pred_file.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "path,predicted,score":
+    with open(pred_file, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["path", "predicted", "score"]:
         raise DataError(f"{pred_file}: not a predictions file")
     truth = {r.path: r.label for r in manifest.rows}
     preds, truths, scores = [], [], []
-    for line in lines[1:]:
-        if not line.strip():
+    for row in rows[1:]:
+        if not row:
             continue
-        path, predicted, score = line.rsplit(",", 2)
+        path, predicted, score = row
         if path not in truth:
             raise DataError(f"{pred_file}: prediction for unknown path {path!r}")
         preds.append(predicted)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from placevision.cli import main
-from placevision.image import load_pnm
+from placevision.image import Image, load_pnm, write_pnm
 from placevision.pipeline import artifact_stem, read_manifest
 
 CONFIG = """
@@ -193,3 +194,66 @@ def test_jobs_parallelism_gives_identical_artifacts(dataset, tmp_path):
         ) + (out / "vocab.bin").read_bytes()
         digests.append(hashlib.sha256(blob).hexdigest())
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("measure", ["minkowski:0.5", "minkowski:x"])
+def test_bad_measure_id_is_config_error(dataset, tmp_path, capsys, measure):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG + f"bovw.measure = {measure}\n")
+    rc = run_stage(["train", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                    "--out", tmp_path / "out"])
+    assert rc == 2
+    assert "bovw.measure" in capsys.readouterr().err
+
+
+def _copy_dataset(dataset, dest, relabel=lambda label: label):
+    """Copy the fixture images under dest with a manifest; returns the manifest path."""
+    (dest / "images").mkdir(parents=True)
+    lines = ["path\tlabel\tsequence"]
+    for r in read_manifest(dataset / "manifest.tsv").rows:
+        (dest / r.path).write_bytes((dataset / r.path).read_bytes())
+        lines.append(f"{r.path}\t{relabel(r.label)}\t{r.sequence}")
+    man = dest / "manifest.tsv"
+    man.write_text("\n".join(lines) + "\n")
+    return man
+
+
+def test_predict_warns_for_each_row_it_cannot_classify(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    man = _copy_dataset(dataset, data)
+    # a flat image has no SIFT keypoints, so it never gets a bovw histogram
+    write_pnm(Image(np.full((96, 96, 3), 0.5)), data / "images" / "flat.ppm")
+    with man.open("a") as fh:
+        fh.write("images/flat.ppm\tCorridor\t2\n")
+    out = tmp_path / "out"
+    cfg = dataset / "pipeline.cfg"
+    for stage in (["features"], ["vocab", "--sequences", "1,3"], ["encode"],
+                  ["train", "--sequences", "1,3"]):
+        assert run_stage([stage[0], "--manifest", man, "--config", cfg, "--out", out]
+                         + stage[1:]) == 0
+    capsys.readouterr()
+    assert run_stage(["predict", "--manifest", man, "--config", cfg, "--out", out,
+                      "--sequences", "2"]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "images/flat.ppm" in warnings[0] and "bovw" in warnings[0]
+    preds = (out / "predictions.csv").read_text().splitlines()
+    assert len(preds) == 1 + 6
+    assert not any("flat.ppm" in ln for ln in preds)
+
+
+def test_label_with_comma_round_trips_through_predictions(dataset, tmp_path):
+    label = "Office, 2nd floor"
+    man = _copy_dataset(dataset, tmp_path / "data",
+                        lambda lb: label if lb == "Corridor" else lb)
+    out = tmp_path / "out"
+    cfg = tmp_path / "nn.cfg"
+    cfg.write_text("features.parts = rgb\nclassifier.kind = nn\nseed = 5\n")
+    for stage in ("features", "train", "predict"):
+        assert run_stage([stage, "--manifest", man, "--config", cfg, "--out", out]) == 0
+    with (out / "predictions.csv").open(newline="") as fh:
+        assert label in {row[1] for row in csv.reader(fh)}
+    assert run_stage(["evaluate", "--manifest", man, "--out", out]) == 0
+    aggregate = (out / "report" / "summary.csv").read_text().splitlines()[-1].split(",")
+    assert float(aggregate[1]) == 1.0  # precision
+    assert float(aggregate[2]) == 1.0  # recall

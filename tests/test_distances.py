@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,8 +256,9 @@ def test_stored_asymmetry_counterexample():
 def test_measure_registry_ids():
     for mid in ALL_MEASURE_IDS:
         assert callable(get_measure(mid))
-    with pytest.raises(ValueError):
-        get_measure("nosuch")
+    for bad in ("nosuch", "minkowski:0.5", "minkowski:x", "minkowski:", "minkowski:inf"):
+        with pytest.raises(ValueError):
+            get_measure(bad)
     assert get_measure("minkowski:3")([0, 1], [0, 1]) == 0.0
 
 
@@ -266,13 +268,52 @@ def test_pairwise_matches_scalar_measures():
     g = rng.random((5, 9))
     qn = q / q.sum(axis=1, keepdims=True)
     gn = g / g.sum(axis=1, keepdims=True)
+    for mid in ALL_MEASURE_IDS:
+        fn = get_measure(mid)
+        mat = pairwise_distances(mid, qn, gn)
+        assert mat.shape == (4, 5)
+        for i in range(4):
+            for j in range(5):
+                assert mat[i, j] == pytest.approx(fn(qn[i], gn[j]), abs=1e-9), mid
     for mid in ["euclidean", "minkowski:1", "minkowski:3", "jeffrey", "chi2", "chi2sym"]:
         fn = get_measure(mid)
         mat = pairwise_distances(mid, q, g)
         for i in range(4):
             for j in range(5):
                 assert mat[i, j] == pytest.approx(fn(q[i], g[j]), abs=1e-9), mid
-    mat = pairwise_distances("bhattacharyya", qn, gn)
-    for i in range(4):
-        for j in range(5):
-            assert mat[i, j] == pytest.approx(bhattacharyya(qn[i], gn[j]), abs=1e-9)
+    # emd: the closed form (equal masses) and the simplex (unequal) agree with emd()
+    for a, b in ((qn, gn), (q, g)):
+        mat = pairwise_distances("emd", a, b)
+        for i in range(4):
+            for j in range(5):
+                assert mat[i, j] == pytest.approx(emd(a[i], b[j])[0], abs=1e-9)
+
+
+def test_pairwise_applies_the_scalar_input_checks():
+    rng = np.random.default_rng(14)
+    q = rng.random((3, 6))
+    qn = q / q.sum(axis=1, keepdims=True)
+    for mid in ("kl", "bhattacharyya"):
+        with pytest.raises(ValueError):
+            pairwise_distances(mid, q, qn)
+        with pytest.raises(ValueError):
+            pairwise_distances(mid, qn, q)
+    with pytest.raises(ValueError):
+        pairwise_distances("match", q, qn)
+
+
+@pytest.mark.parametrize("mid", ["minkowski:1", "bhattacharyya", "jeffrey"])
+def test_pairwise_peak_memory_is_bounded(mid):
+    rng = np.random.default_rng(15)
+    q = rng.random((200, 1000))
+    q /= q.sum(axis=1, keepdims=True)
+    g = rng.random((400, 1000))
+    g /= g.sum(axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        pairwise_distances(mid, q, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a full (200, 400, 1000) float64 broadcast would need 640 MB
+    assert peak < 64 * 2**20, f"{mid}: peak {peak / 2**20:.0f} MB"
