@@ -176,6 +176,15 @@ def _parse_bins(text: str) -> Tuple[int, int, int]:
     return tuple(parts)
 
 
+def _checked_measure(kv: Dict[str, str], key: str, default: str) -> str:
+    measure = kv.get(key, default)
+    try:
+        parse_measure(measure)
+    except ValueError as exc:
+        raise DataError(f"{key}: {exc}") from exc
+    return measure
+
+
 def parse_config_text(text: str) -> PipelineConfig:
     kv: Dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -202,11 +211,7 @@ def parse_config_text(text: str) -> PipelineConfig:
 
     parts = []
     for name, weight in zip(part_names, weights):
-        measure = kv.get(f"{name}.measure", _DEFAULT_MEASURES[name])
-        try:
-            parse_measure(measure)
-        except ValueError as exc:
-            raise DataError(f"{name}.measure: {exc}") from exc
+        measure = _checked_measure(kv, f"{name}.measure", _DEFAULT_MEASURES[name])
         if name == "rgb":
             parts.append(PartConfig(name, measure, weight, bins=_parse_bins(kv.get("rgb.bins", "10x10x10"))))
         elif name == "hsv":
@@ -241,7 +246,7 @@ def parse_config_text(text: str) -> PipelineConfig:
     )
     return PipelineConfig(
         parts=tuple(parts),
-        vocab_distance=kv.get("vocab.distance", "euclidean"),
+        vocab_distance=_checked_measure(kv, "vocab.distance", "euclidean"),
         vocab_builder=kv.get("vocab.builder", "kmeans"),
         vocab_threshold=float(kv.get("vocab.threshold", "0.5")),
         vocab_max_iter=int(kv.get("vocab.max_iter", "40")),
@@ -282,10 +287,16 @@ def _feature_fingerprint(image_bytes: bytes, config: PipelineConfig) -> str:
     return h.hexdigest()
 
 
+# Per-row artifact suffixes under features/; the .hash marks them current.
+_ROW_ARTIFACTS = (".hash", ".rgb.csv", ".hsv.csv", ".desc", ".bovw.csv")
+
+
 def _extract_one(args) -> Tuple[str, Optional[str]]:
     """Worker: compute the feature artifacts for one manifest row.
 
-    Returns (path, None) on success or (path, warning) on failure.
+    Returns (path, None) on success or (path, warning) on failure; a
+    failure removes the row's artifacts from earlier runs, so no later
+    stage serves features of an image that no longer extracts.
     """
     image_path, resolved, out_dir, config = args
     out = Path(out_dir)
@@ -317,6 +328,8 @@ def _extract_one(args) -> Tuple[str, Optional[str]]:
         hash_file.write_text(fingerprint)
         return image_path, None
     except Exception as exc:  # per-image failures degrade to warnings
+        for suffix in _ROW_ARTIFACTS:
+            (out / f"{stem}{suffix}").unlink(missing_ok=True)
         return image_path, f"{type(exc).__name__}: {exc}"
 
 

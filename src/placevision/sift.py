@@ -8,6 +8,12 @@ gradient-orientation descriptor (128 values).  The color variant
 computes the 128-vector independently per R/G/B plane and concatenates
 to 384.
 
+Refinement runs batched over all candidates of an octave, orientation
+assignment and description over all keypoints of one blur level; every
+batch is processed in chunks whose largest temporary array stays within
+``_CHUNK_BYTES``.  The per-keypoint public functions are one-element
+calls into the same kernels.
+
 Coordinates: x is the column, y is the row, both in the base-image
 frame; ``sigma`` is the absolute scale in that frame.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,6 +38,9 @@ DESCRIPTOR_CLAMP = 0.2
 ORI_HIST_BINS = 36
 ORI_PEAK_RATIO = 0.8
 MIN_OCTAVE_DIM = 8
+# Byte budget of the largest temporary array a batched keypoint kernel
+# builds; each batch is cut into chunks that stay within it.
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -195,15 +205,49 @@ def detect_extrema(dog: DoGPyramid) -> List[Candidate]:
     return out
 
 
-def _quadratic_fit(stack: np.ndarray, l: int, y: int, x: int):
-    """Gradient and Hessian of the DoG at a lattice point."""
+def _chunks(item_bytes: np.ndarray):
+    """(start, stop) bounds of consecutive chunks over items whose byte cost
+    is nondecreasing: a chunk's item count times its largest item cost
+    stays within _CHUNK_BYTES, and every chunk holds at least one item."""
+    n = len(item_bytes)
+    start = 0
+    while start < n:
+        padded = np.arange(1, n - start + 1) * item_bytes[start:]
+        stop = start + max(1, int(np.searchsorted(padded, _CHUNK_BYTES, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each computed as the 1-D ``a[i] @ b[i]``."""
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _keypoints(x, y, sigma, orientation, octave: int, layer) -> List[Keypoint]:
+    layer = np.broadcast_to(layer, np.shape(x))
+    return [
+        Keypoint(*vals, octave=octave, layer=l)
+        for *vals, l in zip(x.tolist(), y.tolist(), sigma.tolist(), orientation.tolist(), layer.tolist())
+    ]
+
+
+def _columns(kps: Sequence[Keypoint]):
+    """x, y, sigma and orientation of keypoints as float arrays."""
+    return np.array([(k.x, k.y, k.sigma, k.orientation) for k in kps], dtype=np.float64).reshape(-1, 4).T
+
+
+def _dog_derivatives(stack: np.ndarray, l: np.ndarray, y: np.ndarray, x: np.ndarray):
+    """Gradients (n, 3) and Hessians (n, 3, 3) of the DoG at lattice points."""
     d = stack
-    g = 0.5 * np.array(
+    g = 0.5 * np.stack(
         [
             d[l, y, x + 1] - d[l, y, x - 1],
             d[l, y + 1, x] - d[l, y - 1, x],
             d[l + 1, y, x] - d[l - 1, y, x],
-        ]
+        ],
+        axis=-1,
     )
     c = d[l, y, x]
     dxx = d[l, y, x + 1] - 2 * c + d[l, y, x - 1]
@@ -212,8 +256,93 @@ def _quadratic_fit(stack: np.ndarray, l: int, y: int, x: int):
     dxy = 0.25 * (d[l, y + 1, x + 1] - d[l, y + 1, x - 1] - d[l, y - 1, x + 1] + d[l, y - 1, x - 1])
     dxl = 0.25 * (d[l + 1, y, x + 1] - d[l + 1, y, x - 1] - d[l - 1, y, x + 1] + d[l - 1, y, x - 1])
     dyl = 0.25 * (d[l + 1, y + 1, x] - d[l + 1, y - 1, x] - d[l - 1, y + 1, x] + d[l - 1, y - 1, x])
-    hess = np.array([[dxx, dxy, dxl], [dxy, dyy, dyl], [dxl, dyl, dll]])
+    hess = np.stack([dxx, dxy, dxl, dxy, dyy, dyl, dxl, dyl, dll], axis=-1).reshape(-1, 3, 3)
     return g, hess
+
+
+def _refine_chunk(stack, pos, contrast_threshold, edge_ratio, max_steps):
+    """Batched sub-pixel refinement of lattice points pos (n, 3) of
+    (layer, y, x); returns the accepted mask, final lattice points and
+    offsets."""
+    n_layers, h, w = stack.shape
+    pos = pos.copy()
+    n = len(pos)
+    grad = np.zeros((n, 3))
+    hess = np.zeros((n, 3, 3))
+    offset = np.zeros((n, 3))
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for _ in range(max_steps):
+        if not active.size:
+            break
+        g, hs = _dog_derivatives(stack, *pos[active].T)
+        # a singular Hessian rejects only its own candidate
+        solvable = np.linalg.det(hs) != 0
+        active, g, hs = active[solvable], g[solvable], hs[solvable]
+        off = np.linalg.solve(hs, -g[:, :, None])[:, :, 0]
+        done = np.all(np.abs(off) < 0.5, axis=1)
+        idx = active[done]
+        converged[idx] = True
+        grad[idx], hess[idx], offset[idx] = g[done], hs[done], off[done]
+        active = active[~done]
+        # offsets are (x, y, layer); lattice points are (layer, y, x)
+        moved = pos[active] + np.rint(off[~done])[:, ::-1]
+        l, y, x = moved.T
+        inside = (1 <= l) & (l < n_layers - 1) & (1 <= y) & (y < h - 1) & (1 <= x) & (x < w - 1)
+        active = active[inside]
+        pos[active] = moved[inside].astype(np.intp)
+
+    keep = np.flatnonzero(converged)
+    g, hs, off = grad[keep], hess[keep], offset[keep]
+    l, y, x = pos[keep].T
+    value = stack[l, y, x] + 0.5 * _rowdot(g, off)
+    # principal-curvature ratio test on the 2x2 spatial Hessian
+    dxx, dyy, dxy = hs[:, 0, 0], hs[:, 1, 1], hs[:, 0, 1]
+    tr = dxx + dyy
+    det = dxx * dyy - dxy * dxy
+    r = edge_ratio
+    converged[keep] = ~(np.abs(value) < contrast_threshold) & ~(
+        (det <= 0) | (tr * tr * r >= (r + 1) ** 2 * det)
+    )
+    return converged, pos, offset
+
+
+def _refine_octave(
+    dog: DoGPyramid,
+    octave: int,
+    cands: np.ndarray,
+    contrast_threshold: float,
+    edge_ratio: float,
+    max_steps: int = 5,
+):
+    """Sub-pixel localization of one octave's candidates (n, 3) of
+    (layer, y, x), with contrast and edge-response rejection.
+
+    Returns x, y, sigma (base-image frame) and layer of the accepted
+    candidates, in candidate order.
+    """
+    stack = dog.octaves[octave]
+    n_layers = stack.shape[0]
+    n = len(cands)
+    accepted = np.zeros(n, dtype=bool)
+    pos = np.zeros((n, 3), dtype=np.intp)
+    off = np.zeros((n, 3))
+    # the largest per-candidate temporary is its (3, 3) float64 Hessian
+    for start, stop in _chunks(np.full(n, 9 * 8)):
+        accepted[start:stop], pos[start:stop], off[start:stop] = _refine_chunk(
+            stack, cands[start:stop], contrast_threshold, edge_ratio, max_steps
+        )
+    pos, off = pos[accepted], off[accepted]
+
+    scale_factor = 2.0**octave
+    layer_ref = np.clip(pos[:, 0] + off[:, 2], 0.0, n_layers)
+    # float_power is libm pow, as Python's float ** is; np.power's SIMD
+    # loop can differ in the last bit
+    sigma = dog.sigma0 * np.float_power(dog.k, layer_ref) * scale_factor
+    x = (pos[:, 2] + off[:, 0]) * scale_factor
+    y = (pos[:, 1] + off[:, 1]) * scale_factor
+    layer = np.clip(np.rint(layer_ref).astype(np.intp), 1, n_layers - 1)
+    return x, y, sigma, layer
 
 
 def refine_keypoint(
@@ -228,64 +357,86 @@ def refine_keypoint(
     Returns None for rejected candidates (rejection is not an error).
     """
     o, l, y, x = candidate
-    stack = dog.octaves[o]
-    n_layers, h, w = stack.shape
-    offset = np.zeros(3)
-    for _ in range(max_steps):
-        g, hess = _quadratic_fit(stack, l, y, x)
-        try:
-            offset = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            return None
-        if np.all(np.abs(offset) < 0.5):
-            break
-        x += int(round(offset[0]))
-        y += int(round(offset[1]))
-        l += int(round(offset[2]))
-        if not (1 <= l < n_layers - 1 and 1 <= y < h - 1 and 1 <= x < w - 1):
-            return None
-    else:
-        return None
-
-    value = stack[l, y, x] + 0.5 * float(g @ offset)
-    if abs(value) < contrast_threshold:
-        return None
-    # principal-curvature ratio test on the 2x2 spatial Hessian
-    dxx, dyy, dxy = hess[0, 0], hess[1, 1], hess[0, 1]
-    tr = dxx + dyy
-    det = dxx * dyy - dxy * dxy
-    r = edge_ratio
-    if det <= 0 or tr * tr * r >= (r + 1) ** 2 * det:
-        return None
-
-    scale_factor = 2.0**o
-    layer_ref = float(np.clip(l + offset[2], 0.0, n_layers))
-    sigma = dog.sigma0 * dog.k**layer_ref * scale_factor
-    return Keypoint(
-        x=(x + float(offset[0])) * scale_factor,
-        y=(y + float(offset[1])) * scale_factor,
-        sigma=sigma,
-        orientation=0.0,
-        octave=o,
-        layer=int(np.clip(int(round(layer_ref)), 1, n_layers - 1)),
+    xs, ys, sigma, layer = _refine_octave(
+        dog, o, np.array([[l, y, x]], dtype=np.intp), contrast_threshold, edge_ratio, max_steps
     )
+    kps = _keypoints(xs, ys, sigma, np.zeros(len(xs)), o, layer)
+    return kps[0] if kps else None
 
 
 # ---------------------------------------------------------------------------
 # orientation assignment
 # ---------------------------------------------------------------------------
 
-def _smooth_circular(hist: np.ndarray) -> np.ndarray:
-    out = np.empty_like(hist)
-    n = len(hist)
-    for i in range(n):
-        out[i] = (
-            6 * hist[i]
-            + 4 * (hist[i - 1] + hist[(i + 1) % n])
-            + hist[i - 2]
-            + hist[(i + 2) % n]
-        ) / 16.0
-    return out
+def _orientation_histograms(dx_img, dy_img, cx, cy, sigma_w, radius):
+    """36-bin magnitude-weighted histograms (n, 36) of Gaussian windows;
+    every window is padded to the largest radius and masked back."""
+    h, w = dx_img.shape
+    n = len(cx)
+    big = int(radius.max())
+    d = np.arange(-big, big + 1)
+    yy = (np.rint(cy).astype(np.intp)[:, None] + d)[:, :, None]
+    xx = (np.rint(cx).astype(np.intp)[:, None] + d)[:, None, :]
+    rad = radius[:, None, None]
+    valid = (
+        (np.abs(d)[:, None] <= rad)
+        & (np.abs(d) <= rad)
+        & (yy >= 1)
+        & (yy <= h - 2)
+        & (xx >= 1)
+        & (xx <= w - 2)
+    )
+    yc = np.clip(yy, 0, h - 1)
+    xc = np.clip(xx, 0, w - 1)
+    win_dx = dx_img[yc, xc][valid]
+    win_dy = dy_img[yc, xc][valid]
+    dist2 = ((xx - cx[:, None, None]) ** 2 + (yy - cy[:, None, None]) ** 2)[valid]
+    two_var = np.broadcast_to(2.0 * np.float_power(sigma_w, 2)[:, None, None], valid.shape)[valid]
+    weights = np.exp(-dist2 / two_var) * np.hypot(win_dx, win_dy)
+    angles = np.arctan2(win_dy, win_dx) % (2.0 * math.pi)
+    # nearest-bin voting: bin i is centered on angle i * (2pi/36)
+    bins = np.rint(angles / (2.0 * math.pi) * ORI_HIST_BINS).astype(np.intp) % ORI_HIST_BINS
+    item = np.broadcast_to(np.arange(n)[:, None, None], valid.shape)[valid]
+    hist = np.bincount(item * ORI_HIST_BINS + bins, weights=weights, minlength=n * ORI_HIST_BINS)
+    return hist.reshape(n, ORI_HIST_BINS)
+
+
+def _orientation_peaks(ss: ScaleSpace, octave: int, layer: int, x, y, sigma, sigma_factor: float):
+    """Dominant orientations of keypoints sharing one blur level.
+
+    Returns (item, angle): per emitted orientation the index of its
+    keypoint and the angle, keypoint-major with angles ascending.
+    """
+    scale_factor = 2.0**octave
+    dx_img, dy_img = ss.gradients(octave, layer)
+    cx = x / scale_factor
+    cy = y / scale_factor
+    sigma_w = sigma_factor * (sigma / scale_factor)
+    radius = np.maximum(1, np.rint(3.0 * sigma_w).astype(np.intp))
+    # windows grow with sigma: sorting keeps each chunk's padding small
+    order = np.argsort(sigma_w, kind="stable")
+    hist = np.zeros((len(x), ORI_HIST_BINS))
+    for start, stop in _chunks((2 * radius[order] + 1) ** 2 * 8):
+        sel = order[start:stop]
+        hist[sel] = _orientation_histograms(dx_img, dy_img, cx[sel], cy[sel], sigma_w[sel], radius[sel])
+
+    smooth = (
+        6 * hist
+        + 4 * (np.roll(hist, 1, axis=1) + np.roll(hist, -1, axis=1))
+        + np.roll(hist, 2, axis=1)
+        + np.roll(hist, -2, axis=1)
+    ) / 16.0
+    left = np.roll(smooth, 1, axis=1)
+    right = np.roll(smooth, -1, axis=1)
+    peak = (smooth > left) & (smooth > right) & (smooth >= ORI_PEAK_RATIO * smooth.max(axis=1, keepdims=True))
+    item, b = np.nonzero(peak)
+    left, centre, right = left[item, b], smooth[item, b], right[item, b]
+    denom = left - 2 * centre + right
+    # parabolic interpolation of the peak position
+    shift = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0)
+    angle = ((b + shift) * (2.0 * math.pi / ORI_HIST_BINS)) % (2.0 * math.pi)
+    order = np.lexsort((angle, item))
+    return item[order], angle[order]
 
 
 def assign_orientations(
@@ -298,51 +449,20 @@ def assign_orientations(
     one oriented keypoint per smoothed peak within 80% of the maximum,
     with parabolic peak interpolation.
     """
-    scale_factor = 2.0**kp.octave
-    img = ss.octaves[kp.octave][kp.layer].intensities
-    h, w = img.shape
-    cx = kp.x / scale_factor
-    cy = kp.y / scale_factor
-    sigma_w = sigma_factor * (kp.sigma / scale_factor)
-    radius = max(1, int(round(3.0 * sigma_w)))
-    x0, x1 = int(round(cx)) - radius, int(round(cx)) + radius
-    y0, y1 = int(round(cy)) - radius, int(round(cy)) + radius
-    if x1 <= 0 or y1 <= 0 or x0 >= w - 1 or y0 >= h - 1:
-        return []
-    gx0, gy0 = max(x0, 1), max(y0, 1)
-    gx1, gy1 = min(x1, w - 2), min(y1, h - 2)
-
-    dx_img, dy_img = ss.gradients(kp.octave, kp.layer)
-    win_dx = dx_img[gy0 : gy1 + 1, gx0 : gx1 + 1]
-    win_dy = dy_img[gy0 : gy1 + 1, gx0 : gx1 + 1]
-    yy, xx = np.mgrid[gy0 : gy1 + 1, gx0 : gx1 + 1]
-    dist2 = (xx - cx) ** 2 + (yy - cy) ** 2
-    weights = np.exp(-dist2 / (2.0 * sigma_w**2)) * np.hypot(win_dx, win_dy)
-    angles = np.arctan2(win_dy, win_dx) % (2.0 * math.pi)
-    # nearest-bin voting: bin i is centered on angle i * (2pi/36)
-    bins = np.rint(angles / (2.0 * math.pi) * ORI_HIST_BINS).astype(np.intp) % ORI_HIST_BINS
-    hist = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=ORI_HIST_BINS)
-
-    smooth = _smooth_circular(hist)
-    peak_max = smooth.max()
-    if peak_max <= 0:
-        return []
-    out = []
-    for i in range(ORI_HIST_BINS):
-        left = smooth[i - 1]
-        right = smooth[(i + 1) % ORI_HIST_BINS]
-        if smooth[i] > left and smooth[i] > right and smooth[i] >= ORI_PEAK_RATIO * peak_max:
-            denom = left - 2 * smooth[i] + right
-            interp = i + (0.5 * (left - right) / denom if denom != 0 else 0.0)
-            angle = (interp * (2.0 * math.pi / ORI_HIST_BINS)) % (2.0 * math.pi)
-            out.append(replace(kp, orientation=angle))
-    out.sort(key=lambda p: p.orientation)
-    return out
+    x, y, sigma, _ = _columns([kp])
+    _, angles = _orientation_peaks(ss, kp.octave, kp.layer, x, y, sigma, sigma_factor)
+    return [replace(kp, orientation=a) for a in angles.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # descriptor
 # ---------------------------------------------------------------------------
+
+_SAMPLES = DESCRIPTOR_CELLS * 4  # 16x16 sample grid per keypoint
+_SAMPLE_OFFSETS = np.arange(_SAMPLES) - (_SAMPLES - 1) / 2.0
+_TENSOR_SIDE = DESCRIPTOR_CELLS + 2
+_TENSOR_SIZE = _TENSOR_SIDE * _TENSOR_SIDE * DESCRIPTOR_ORI_BINS
+
 
 def _bilinear(arr: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     y0 = np.floor(ys).astype(np.intp)
@@ -359,49 +479,43 @@ def _bilinear(arr: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     )
 
 
+def _normalize_rows(raw: np.ndarray):
+    """Per row: L2-normalize, clamp entries at 0.2, renormalize.  Rows
+    without energy stay zero; returns (values, has_energy)."""
+    norm = np.sqrt(_rowdot(raw, raw))
+    ok = norm > 0
+    v = np.minimum(raw[ok] / norm[ok, None], DESCRIPTOR_CLAMP)
+    out = np.zeros_like(raw)
+    out[ok] = v / np.sqrt(_rowdot(v, v))[:, None]
+    return out, ok
+
+
 def finalize_descriptor(raw: np.ndarray) -> Optional[np.ndarray]:
     """L2-normalize, clamp entries at 0.2, renormalize."""
-    norm = np.linalg.norm(raw)
-    if norm <= 0:
-        return None
-    v = np.minimum(raw / norm, DESCRIPTOR_CLAMP)
-    return v / np.linalg.norm(v)
+    values, ok = _normalize_rows(np.asarray(raw, dtype=np.float64)[None, :])
+    return values[0] if ok[0] else None
 
 
-def _descriptor_from_plane(kp: Keypoint, ss: ScaleSpace) -> Optional[np.ndarray]:
-    """Raw 128-bin gradient histogram for one image plane, or None if the
-    sampling window leaves the image."""
-    scale_factor = 2.0**kp.octave
-    img = ss.octaves[kp.octave][kp.layer].intensities
-    h, w = img.shape
-    cx = kp.x / scale_factor
-    cy = kp.y / scale_factor
-    sigma_oct = kp.sigma / scale_factor
+def _descriptor_histograms(dx_img, dy_img, cx, cy, spacing, theta) -> np.ndarray:
+    """Raw 128-bin gradient histograms (n, 128) of in-image windows."""
+    n = len(cx)
+    grid = _SAMPLE_OFFSETS * spacing[:, None]
+    su = grid[:, None, :]
+    sv = grid[:, :, None]
+    cos_t = np.cos(theta)[:, None, None]
+    sin_t = np.sin(theta)[:, None, None]
+    xs = cx[:, None, None] + su * cos_t - sv * sin_t
+    ys = cy[:, None, None] + su * sin_t + sv * cos_t
 
-    n_samples = DESCRIPTOR_CELLS * 4  # 16x16 sample grid
-    spacing = 3.0 * sigma_oct / 4.0
-    half_extent = spacing * (n_samples - 1) / 2.0 * math.sqrt(2.0) + 1.0
-    if cx - half_extent < 0 or cx + half_extent > w - 1:
-        return None
-    if cy - half_extent < 0 or cy + half_extent > h - 1:
-        return None
-
-    grid = (np.arange(n_samples) - (n_samples - 1) / 2.0) * spacing
-    su, sv = np.meshgrid(grid, grid)
-    cos_t, sin_t = math.cos(kp.orientation), math.sin(kp.orientation)
-    xs = cx + su * cos_t - sv * sin_t
-    ys = cy + su * sin_t + sv * cos_t
-
-    dx_img, dy_img = ss.gradients(kp.octave, kp.layer)
     gdx = _bilinear(dx_img, ys, xs)
     gdy = _bilinear(dy_img, ys, xs)
     mag = np.hypot(gdx, gdy)
-    rel_angle = (np.arctan2(gdy, gdx) - kp.orientation) % (2.0 * math.pi)
+    rel_angle = (np.arctan2(gdy, gdx) - theta[:, None, None]) % (2.0 * math.pi)
 
     # cell coordinates in [-0.5+..., 3.5-...]; trilinear scatter over a
     # (cells+2)^2 x bins tensor absorbs the border spill
-    cu = su / (spacing * 4.0) + (DESCRIPTOR_CELLS - 1) / 2.0
-    cv = sv / (spacing * 4.0) + (DESCRIPTOR_CELLS - 1) / 2.0
+    cu = su / (spacing[:, None, None] * 4.0) + (DESCRIPTOR_CELLS - 1) / 2.0
+    cv = sv / (spacing[:, None, None] * 4.0) + (DESCRIPTOR_CELLS - 1) / 2.0
     gauss = np.exp(
         -(
             (cu - (DESCRIPTOR_CELLS - 1) / 2.0) ** 2
@@ -409,11 +523,12 @@ def _descriptor_from_plane(kp: Keypoint, ss: ScaleSpace) -> Optional[np.ndarray]
         )
         / (2.0 * (0.5 * DESCRIPTOR_CELLS) ** 2)
     )
-    contrib = (mag * gauss).ravel()
-    obin = rel_angle.ravel() / (2.0 * math.pi) * DESCRIPTOR_ORI_BINS
+    shape = (n, _SAMPLES * _SAMPLES)
+    contrib = (mag * gauss).reshape(shape)
+    obin = rel_angle.reshape(shape) / (2.0 * math.pi) * DESCRIPTOR_ORI_BINS
 
-    r = cv.ravel()
-    c = cu.ravel()
+    r = np.broadcast_to(cv, mag.shape).reshape(shape)
+    c = np.broadcast_to(cu, mag.shape).reshape(shape)
     r0 = np.floor(r).astype(np.intp)
     c0 = np.floor(c).astype(np.intp)
     o0 = np.floor(obin).astype(np.intp)
@@ -422,29 +537,67 @@ def _descriptor_from_plane(kp: Keypoint, ss: ScaleSpace) -> Optional[np.ndarray]
     fo = obin - o0
     o0 %= DESCRIPTOR_ORI_BINS
 
-    side = DESCRIPTOR_CELLS + 2
-    tensor = np.zeros((side, side, DESCRIPTOR_ORI_BINS))
+    # one scatter over all keypoints; a bin sums its votes corner-major,
+    # then sample by sample
+    base = np.arange(n)[:, None] * _TENSOR_SIZE
+    index, weight = [], []
     for dr, wr in ((0, 1 - fr), (1, fr)):
         for dc, wc in ((0, 1 - fc), (1, fc)):
             for do, wo in ((0, 1 - fo), (1, fo)):
-                np.add.at(
-                    tensor,
-                    (r0 + 1 + dr, c0 + 1 + dc, (o0 + do) % DESCRIPTOR_ORI_BINS),
-                    contrib * wr * wc * wo,
+                index.append(
+                    base
+                    + ((r0 + 1 + dr) * _TENSOR_SIDE + (c0 + 1 + dc)) * DESCRIPTOR_ORI_BINS
+                    + (o0 + do) % DESCRIPTOR_ORI_BINS
                 )
-    return tensor[1:-1, 1:-1, :].ravel()
+                weight.append(contrib * wr * wc * wo)
+    tensor = np.bincount(
+        np.concatenate(index, axis=None),
+        weights=np.concatenate(weight, axis=None),
+        minlength=n * _TENSOR_SIZE,
+    ).reshape(n, _TENSOR_SIDE, _TENSOR_SIDE, DESCRIPTOR_ORI_BINS)
+    return tensor[:, 1:-1, 1:-1, :].reshape(n, DESCRIPTOR_SIZE)
+
+
+def _raw_descriptors(ss: ScaleSpace, octave: int, layer: int, x, y, sigma, orientation):
+    """Raw 128-bin histograms (n, 128) for one image plane of keypoints
+    sharing one blur level, and the mask of those whose sampling window
+    stays inside the image (the other rows are zero)."""
+    scale_factor = 2.0**octave
+    dx_img, dy_img = ss.gradients(octave, layer)
+    h, w = dx_img.shape
+    cx = x / scale_factor
+    cy = y / scale_factor
+    spacing = 3.0 * (sigma / scale_factor) / 4.0
+    half_extent = spacing * (_SAMPLES - 1) / 2.0 * math.sqrt(2.0) + 1.0
+    inside = ~(
+        (cx - half_extent < 0)
+        | (cx + half_extent > w - 1)
+        | (cy - half_extent < 0)
+        | (cy + half_extent > h - 1)
+    )
+    raw = np.zeros((len(x), DESCRIPTOR_SIZE))
+    idx = np.flatnonzero(inside)
+    # the largest per-keypoint temporary: 8 corner votes per sample
+    for start, stop in _chunks(np.full(len(idx), 8 * _SAMPLES * _SAMPLES * 8)):
+        sel = idx[start:stop]
+        raw[sel] = _descriptor_histograms(dx_img, dy_img, cx[sel], cy[sel], spacing[sel], orientation[sel])
+    return raw, inside
+
+
+def _describe(ss: ScaleSpace, octave: int, layer: int, kps: Sequence[Keypoint]):
+    """(keypoint, descriptor) pairs of keypoints sharing one blur level,
+    without those whose window leaves the image or carries no gradient
+    energy."""
+    raw, inside = _raw_descriptors(ss, octave, layer, *_columns(kps))
+    values, ok = _normalize_rows(raw)
+    return [(kp, Descriptor(v, kp)) for kp, v, keep in zip(kps, values, inside & ok) if keep]
 
 
 def compute_descriptor(kp: Keypoint, ss: ScaleSpace) -> Optional[Descriptor]:
     """128-value descriptor; None when the window leaves the image or the
     window carries no gradient energy."""
-    raw = _descriptor_from_plane(kp, ss)
-    if raw is None:
-        return None
-    values = finalize_descriptor(raw)
-    if values is None:
-        return None
-    return Descriptor(values, kp)
+    described = _describe(ss, kp.octave, kp.layer, [kp])
+    return described[0][1] if described else None
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +607,18 @@ def compute_descriptor(kp: Keypoint, ss: ScaleSpace) -> Optional[Descriptor]:
 def _detect_oriented_keypoints(gray: GrayImage, params: SiftParams):
     ss = build_scale_space(gray, params.octaves, params.scales_per_octave, params.sigma0)
     dog = build_dog(ss)
+    cands = np.array(detect_extrema(dog), dtype=np.intp).reshape(-1, 4)
     keypoints = []
-    for cand in detect_extrema(dog):
-        kp = refine_keypoint(cand, dog, params.contrast_threshold, params.edge_ratio)
-        if kp is not None:
-            keypoints.extend(assign_orientations(kp, ss, params.orientation_sigma_factor))
+    for o in range(len(dog.octaves)):
+        x, y, sigma, layer = _refine_octave(
+            dog, o, cands[cands[:, 0] == o, 1:], params.contrast_threshold, params.edge_ratio
+        )
+        for l in np.unique(layer).tolist():
+            m = layer == l
+            item, angle = _orientation_peaks(
+                ss, o, l, x[m], y[m], sigma[m], params.orientation_sigma_factor
+            )
+            keypoints += _keypoints(x[m][item], y[m][item], sigma[m][item], angle, o, l)
     # refinement can converge two candidates onto the same point
     seen = set()
     unique = []
@@ -470,6 +630,12 @@ def _detect_oriented_keypoints(gray: GrayImage, params: SiftParams):
     return ss, unique
 
 
+def _blur_level_groups(keypoints: Sequence[Keypoint]):
+    """(octave, layer, keypoints) runs of a keypoint list sorted by sort_key."""
+    for (o, l), group in groupby(keypoints, key=lambda kp: (kp.octave, kp.layer)):
+        yield o, l, list(group)
+
+
 def extract_sift(
     gray: GrayImage, params: SiftParams = SiftParams()
 ) -> List[Tuple[Keypoint, Descriptor]]:
@@ -477,10 +643,8 @@ def extract_sift(
     sorted by (octave, layer, y, x, orientation)."""
     ss, keypoints = _detect_oriented_keypoints(gray, params)
     out = []
-    for kp in keypoints:
-        desc = compute_descriptor(kp, ss)
-        if desc is not None:
-            out.append((kp, desc))
+    for o, l, group in _blur_level_groups(keypoints):
+        out += _describe(ss, o, l, group)
     return out
 
 
@@ -501,23 +665,18 @@ def extract_rgb_sift(
         for c in range(3)
     ]
     out = []
-    for kp in keypoints:
+    for o, l, group in _blur_level_groups(keypoints):
+        cols = _columns(group)
         blocks = []
         for ss_c in channel_spaces:
-            raw = _descriptor_from_plane(kp, ss_c)
-            if raw is None:
-                blocks = None
-                break
-            block = finalize_descriptor(raw)
-            # a flat channel has no gradients; keep its block at zero
-            blocks.append(np.zeros(DESCRIPTOR_SIZE) if block is None else block)
-        if blocks is None:
-            continue
-        full = np.concatenate(blocks)
-        norm = np.linalg.norm(full)
-        if norm <= 0:
-            continue
-        out.append((kp, Descriptor(full / norm, kp)))
+            raw, inside = _raw_descriptors(ss_c, o, l, *cols)
+            # a flat channel has no gradients; its block stays zero
+            blocks.append(_normalize_rows(raw)[0])
+        full = np.concatenate(blocks, axis=1)
+        norm = np.sqrt(_rowdot(full, full))
+        keep = inside & (norm > 0)
+        full[keep] /= norm[keep, None]
+        out.extend((kp, Descriptor(v, kp)) for kp, v, k in zip(group, full, keep) if k)
     return out
 
 
@@ -544,6 +703,8 @@ def read_descriptors(path) -> List[Tuple[Keypoint, Descriptor]]:
     data = Path(path).read_bytes()
     if data[:4] != _DESC_MAGIC:
         raise ValueError(f"{path}: not a descriptor file")
+    if len(data) < 16:
+        raise ValueError(f"{path}: truncated descriptor file header")
     version, count, dim = struct.unpack_from("<III", data, 4)
     if version != _DESC_VERSION:
         raise ValueError(f"{path}: unsupported descriptor file version {version}")

@@ -206,6 +206,28 @@ def test_bad_measure_id_is_config_error(dataset, tmp_path, capsys, measure):
     assert "bovw.measure" in capsys.readouterr().err
 
 
+def test_bad_vocab_distance_fails_before_features(dataset, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG + "vocab.distance = minkowski:0.5\n")
+    out = tmp_path / "out"
+    rc = run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                    "--out", out])
+    assert rc == 2
+    assert "vocab.distance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncated_descriptor_file_is_data_error(dataset, tmp_path, capsys):
+    man = dataset / "manifest.tsv"
+    cfg = dataset / "pipeline.cfg"
+    out = tmp_path / "out"
+    assert run_stage(["features", "--manifest", man, "--config", cfg, "--out", out]) == 0
+    stem = artifact_stem(read_manifest(man).rows[0].path)
+    (out / "features" / f"{stem}.desc").write_bytes(b"PVSD\x01\x00")
+    assert run_stage(["vocab", "--manifest", man, "--config", cfg, "--out", out]) == 2
+    assert "truncated descriptor file" in capsys.readouterr().err
+
+
 def _copy_dataset(dataset, dest, relabel=lambda label: label):
     """Copy the fixture images under dest with a manifest; returns the manifest path."""
     (dest / "images").mkdir(parents=True)
@@ -257,3 +279,26 @@ def test_label_with_comma_round_trips_through_predictions(dataset, tmp_path):
     aggregate = (out / "report" / "summary.csv").read_text().splitlines()[-1].split(",")
     assert float(aggregate[1]) == 1.0  # precision
     assert float(aggregate[2]) == 1.0  # recall
+
+
+def test_failed_reextraction_leaves_no_stale_features(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    man = _copy_dataset(dataset, data)
+    out = tmp_path / "out"
+    cfg = dataset / "pipeline.cfg"
+    for stage in (["features"], ["vocab", "--sequences", "1,3"], ["encode"],
+                  ["train", "--sequences", "1,3"]):
+        assert run_stage([stage[0], "--manifest", man, "--config", cfg, "--out", out]
+                         + stage[1:]) == 0
+    victim = next(r for r in read_manifest(man).rows if r.sequence == 2)
+    (data / victim.path).write_bytes(b"P6\n96 96\n255\nshort")
+    assert run_stage(["features", "--manifest", man, "--config", cfg, "--out", out]) == 0
+    assert not list((out / "features").glob(f"{artifact_stem(victim.path)}.*"))
+    capsys.readouterr()
+    assert run_stage(["predict", "--manifest", man, "--config", cfg, "--out", out,
+                      "--sequences", "2"]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1 and victim.path in warnings[0]
+    preds = (out / "predictions.csv").read_text().splitlines()
+    assert len(preds) == 1 + 5
+    assert not any(victim.path in ln for ln in preds)

@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from placevision import sift
 from placevision.image import GrayImage, Image, gaussian_blur
 from placevision.sift import (
     DESCRIPTOR_CLAMP,
+    DoGPyramid,
     Keypoint,
     SiftParams,
     assign_orientations,
@@ -81,8 +86,6 @@ def test_dog_matches_scale_normalized_laplacian_on_blob():
 # ---------------------------------------------------------------------------
 
 def test_flat_and_plateau_dog_give_no_candidates():
-    from placevision.sift import DoGPyramid
-
     g = GrayImage(np.full((48, 48), 0.3))
     assert detect_extrema(build_dog(build_scale_space(g, 2))) == []
     # hand-built stack: a 3x3 plateau of equal maxima must yield nothing
@@ -164,6 +167,25 @@ def test_strong_blob_subpixel_accuracy():
     best = min(kps, key=lambda k: (k.x - cx) ** 2 + (k.y - cy) ** 2)
     assert math.hypot(best.x - cx, best.y - cy) < 0.5
     assert best.sigma > 0
+
+
+def test_batched_refinement_rejects_only_the_singular_candidate():
+    # a blob peaking at layer 1 inside an otherwise exactly flat DoG: the
+    # flat candidate's Hessian is all zero, so a plain batched solve of
+    # both candidates would raise
+    ys, xs = np.mgrid[0:32, 0:32]
+    blob = 0.1 * np.exp(-((xs - 20.3) ** 2 + (ys - 19.8) ** 2) / 8.0)
+    stack = np.zeros((3, 32, 32))
+    stack[:, 12:29, 12:29] = (np.array([0.6, 1.0, 0.7])[:, None, None] * blob)[:, 12:29, 12:29]
+    dog = DoGPyramid([stack], 1.6, 2)
+    flat, peak = (1, 5, 5), (1, 20, 20)
+    x, y, sigma, layer = sift._refine_octave(dog, 0, np.array([flat, peak]), 0.03, 10.0)
+    assert refine_keypoint((0, *flat), dog) is None
+    alone = refine_keypoint((0, *peak), dog)
+    assert alone is not None
+    assert (x.tolist(), y.tolist(), sigma.tolist(), layer.tolist()) == (
+        [alone.x], [alone.y], [alone.sigma], [alone.layer]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +358,34 @@ def test_rgb_sift_channel_scaling_changes_only_that_block(texture):
         assert np.abs(f1[c] - f2[c]).max() < 1e-6
 
 
+@pytest.mark.parametrize("name", ["texture", "small_texture"])
+def test_chunk_budget_does_not_change_features(name, request, monkeypatch):
+    gray = request.getfixturevalue(name)
+    a = gray.intensities
+    rgb = Image(np.stack([a, a * a, 0.5 * a + 0.25], axis=2))
+    default = [extract_sift(gray), extract_rgb_sift(rgb)]
+    monkeypatch.setattr(sift, "_CHUNK_BYTES", 1)  # every chunk holds one keypoint
+    single = [extract_sift(gray), extract_rgb_sift(rgb)]
+    for got, want in zip(single, default):
+        assert want
+        assert [kp for kp, _ in got] == [kp for kp, _ in want]
+        assert all(np.array_equal(d.values, e.values) for (_, d), (_, e) in zip(got, want))
+
+
+def test_extraction_peak_memory_is_bounded():
+    from tests.conftest import blob_texture
+
+    tex = blob_texture(seed=3, size=320)
+    tracemalloc.start()
+    try:
+        extract_sift(tex)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one unchunked batch per blur level peaks near 38 MiB here
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # descriptor files
 # ---------------------------------------------------------------------------
@@ -361,3 +411,19 @@ def test_descriptor_file_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE")
     with pytest.raises(ValueError):
         read_descriptors(p)
+
+
+@given(count=st.integers(0, 3), dim=st.sampled_from([1, 128, 384]), cut=st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_truncated_descriptor_file_is_value_error(tmp_path_factory, count, dim, cut):
+    rng = np.random.default_rng(count * 1000 + dim)
+    items = []
+    for _ in range(count):
+        kp = Keypoint(*rng.random(4), octave=0, layer=1)
+        items.append((kp, sift.Descriptor(rng.random(dim), kp)))
+    path = tmp_path_factory.mktemp("desc") / "kp.desc"
+    write_descriptors(items, path)
+    data = path.read_bytes()
+    path.write_bytes(data[: int(cut * len(data))])
+    with pytest.raises(ValueError):
+        read_descriptors(path)
