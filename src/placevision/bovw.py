@@ -14,13 +14,13 @@ from typing import List
 
 import numpy as np
 
+from .binfile import Reader, pack_text, write_atomic
 from .distances import get_measure, pairwise_distances, parse_measure, sq_euclidean_gram
 from .histograms import FeatureHistogram
 
 DEFAULT_K = 100
 
-_VOCAB_MAGIC = b"PVVC"
-_VOCAB_VERSION = 1
+_VOCAB_HEADER = b"PVVC" + struct.pack("<I", 1)  # tag, format version
 
 
 @dataclass(frozen=True)
@@ -209,34 +209,16 @@ def encode_image(descriptors, vocab: Vocabulary) -> BowVector:
 # ---------------------------------------------------------------------------
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
-    did = vocab.distance_id.encode("utf-8")
-    built = vocab.built_by.encode("utf-8")
-    head = _VOCAB_MAGIC + struct.pack(
-        "<IIIqI", _VOCAB_VERSION, vocab.k, vocab.dim, vocab.seed, len(did)
-    )
-    head += did + struct.pack("<I", len(built)) + built
-    Path(path).write_bytes(head + np.asarray(vocab.centers, dtype="<f4").tobytes())
+    sizes = struct.pack("<IIq", vocab.k, vocab.dim, vocab.seed)
+    strings = pack_text(vocab.distance_id) + pack_text(vocab.built_by)
+    write_atomic(path, [_VOCAB_HEADER, sizes, strings, np.asarray(vocab.centers, dtype="<f4").tobytes()])
 
 
 def read_vocabulary(path) -> Vocabulary:
-    data = Path(path).read_bytes()
-    if data[:4] != _VOCAB_MAGIC:
-        raise ValueError(f"{path}: not a vocabulary file")
-    version, k, dim, seed, did_len = struct.unpack_from("<IIIqI", data, 4)
-    if version != _VOCAB_VERSION:
-        raise ValueError(f"{path}: unsupported vocabulary version {version}")
-    pos = 4 + struct.calcsize("<IIIqI")
-    did = data[pos : pos + did_len].decode("utf-8")
-    pos += did_len
-    (built_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    built = data[pos : pos + built_len].decode("utf-8")
-    pos += built_len
-    need = k * dim * 4
-    if len(data) < pos + need:
-        raise ValueError(f"{path}: truncated vocabulary file")
-    centers = np.frombuffer(data, dtype="<f4", count=k * dim, offset=pos)
-    return Vocabulary(centers.reshape(k, dim).astype(np.float64), did, built, seed)
+    r = Reader(path, _VOCAB_HEADER, "vocabulary")
+    k, dim, seed = r.unpack("<IIq")
+    did, built = r.text(), r.text()
+    return Vocabulary(r.array("<f4", k * dim).reshape(k, dim).astype(np.float64), did, built, seed)
 
 
 def write_vocabulary_csv(vocab: Vocabulary, path) -> None:

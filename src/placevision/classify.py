@@ -242,6 +242,12 @@ class SvmModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.stack([self.machines[lb].decision(x) for lb in self.labels], axis=1)
 
+    def decide(self, scores: np.ndarray) -> Tuple[List[str], np.ndarray]:
+        """Winning label and score for each row of a ``scores`` matrix; ties
+        resolve to the first label, the lowest as ``ova_train`` sorts them."""
+        best = scores.argmax(axis=1)
+        return [self.labels[b] for b in best.tolist()], scores[np.arange(len(best)), best]
+
 
 def ova_train(x, labels: Sequence[str], kernel_spec: KernelSpec, c: float = 10.0) -> SvmModel:
     """One binary machine per class (class vs rest)."""
@@ -259,9 +265,10 @@ def ova_train(x, labels: Sequence[str], kernel_spec: KernelSpec, c: float = 10.0
 
 
 def ova_predict(model: SvmModel, x) -> Tuple[str, np.ndarray]:
-    """argmax of class scores; ties resolve to the lowest label."""
-    scores = model.scores(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
-    return model.labels[int(scores.argmax())], scores
+    """Winning label of one feature vector and its class scores."""
+    scores = model.scores(x)
+    labels, _ = model.decide(scores)
+    return labels[0], scores[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ occupies an extra confusion column and never counts as retrieved.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .binfile import write_atomic
 from .classify import UNKNOWN
 
 
@@ -132,40 +134,30 @@ def build_report(
     return EvalReport(classes, mat, per_class, aggregate, points)
 
 
+def write_csv(path, rows) -> Path:
+    """Write rows as UTF-8 CSV with "\\n" line ends, atomically."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_atomic(path, [buf.getvalue().encode("utf-8")])
+    return Path(path)
+
+
 def write_report(report: EvalReport, out_dir) -> List[Path]:
     """Emit confusion.csv, pr_curve.csv and summary.csv; bytes are
     deterministic for identical reports."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    confusion_path = out / "confusion.csv"
-    with confusion_path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["true\\predicted", *report.labels, UNKNOWN])
-        for i, lb in enumerate(report.labels):
-            w.writerow([lb, *(int(v) for v in report.confusion[i])])
-    paths.append(confusion_path)
-
-    pr_path = out / "pr_curve.csv"
-    with pr_path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["recall", "precision"])
-        for r, p in report.pr_points:
-            w.writerow([f"{r:.10g}", f"{p:.10g}"])
-    paths.append(pr_path)
-
-    summary_path = out / "summary.csv"
-    with summary_path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["class", "precision", "recall", "f_measure", "error_rate"])
-        for lb in report.labels:
-            p, r, f, er = report.per_class[lb]
-            w.writerow([lb, f"{p:.6f}", f"{r:.6f}", f"{f:.6f}", f"{er:.6f}"])
-        p, r, f, er = report.aggregate
-        w.writerow(["__aggregate__", f"{p:.6f}", f"{r:.6f}", f"{f:.6f}", f"{er:.6f}"])
-    paths.append(summary_path)
-    return paths
+    confusion = [["true\\predicted", *report.labels, UNKNOWN]]
+    confusion += [[lb, *(int(v) for v in report.confusion[i])] for i, lb in enumerate(report.labels)]
+    pr = [["recall", "precision"]] + [[f"{r:.10g}", f"{p:.10g}"] for r, p in report.pr_points]
+    summary = [["class", "precision", "recall", "f_measure", "error_rate"]]
+    rows = [(lb, report.per_class[lb]) for lb in report.labels] + [("__aggregate__", report.aggregate)]
+    summary += [[name, *(f"{v:.6f}" for v in values)] for name, values in rows]
+    return [
+        write_csv(out / "confusion.csv", confusion),
+        write_csv(out / "pr_curve.csv", pr),
+        write_csv(out / "summary.csv", summary),
+    ]
 
 
 def read_confusion_csv(path) -> Tuple[np.ndarray, List[str]]:

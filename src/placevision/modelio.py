@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .binfile import Reader, pack_text, write_atomic
 from .classify import (
     BinarySvm,
     CompositeFeature,
@@ -25,8 +25,8 @@ from .classify import (
     ThresholdSet,
 )
 
-_MODEL_MAGIC = b"PVMD"
-_MODEL_VERSION = 1
+_MODEL_HEADER = b"PVMD" + struct.pack("<I", 1)  # tag, format version
+_KINDS = ("svm", "nn")  # kind code = index
 
 
 @dataclass
@@ -45,30 +45,19 @@ class ClassifierModel:
             raise ValueError("nn model requires a gallery and thresholds")
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _unpack_str(data: bytes, pos: int) -> Tuple[str, int]:
-    (n,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    return data[pos : pos + n].decode("utf-8"), pos + n
-
-
 def _pack_f64(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    chunks = [_MODEL_MAGIC, struct.pack("<IB", _MODEL_VERSION, 0 if model.kind == "svm" else 1)]
-    chunks.append(_pack_str(model.config_id))
+    chunks = [_MODEL_HEADER, struct.pack("<B", _KINDS.index(model.kind))]
+    chunks.append(pack_text(model.config_id))
     chunks.append(struct.pack("<I", len(model.labels)))
-    chunks.extend(_pack_str(lb) for lb in model.labels)
+    chunks.extend(pack_text(lb) for lb in model.labels)
 
     if model.kind == "svm":
         svm = model.svm
-        chunks.append(_pack_str(svm.kernel_spec.id_string()))
+        chunks.append(pack_text(svm.kernel_spec.id_string()))
         chunks.append(struct.pack("<d", svm.c))
         for lb in model.labels:
             m = svm.machines[lb]
@@ -80,8 +69,8 @@ def save_model(model: ClassifierModel, path) -> None:
         ref = model.gallery[0][1]
         chunks.append(struct.pack("<I", len(ref.parts)))
         for p in ref.parts:
-            chunks.append(_pack_str(p.name))
-            chunks.append(_pack_str(p.measure_id))
+            chunks.append(pack_text(p.name))
+            chunks.append(pack_text(p.measure_id))
             chunks.append(struct.pack("<dI", p.weight, len(p.vector)))
         chunks.append(struct.pack("<I", len(model.gallery)))
         label_index = {lb: i for i, lb in enumerate(model.labels)}
@@ -90,62 +79,41 @@ def save_model(model: ClassifierModel, path) -> None:
             for p in feat.parts:
                 chunks.append(_pack_f64(p.vector))
         chunks.append(_pack_f64(np.array([model.thresholds.by_label[lb] for lb in model.labels])))
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, chunks)
 
 
 def load_model(path) -> ClassifierModel:
-    data = Path(path).read_bytes()
-    if data[:4] != _MODEL_MAGIC:
-        raise ValueError(f"{path}: not a model file")
-    version, kind_code = struct.unpack_from("<IB", data, 4)
-    if version != _MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {version}")
-    pos = 9
-    config_id, pos = _unpack_str(data, pos)
-    (n_labels,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    labels = []
-    for _ in range(n_labels):
-        lb, pos = _unpack_str(data, pos)
-        labels.append(lb)
+    r = Reader(path, _MODEL_HEADER, "model")
+    (kind_code,) = r.unpack("<B")
+    if kind_code >= len(_KINDS):
+        raise ValueError(f"{path}: unknown model kind code {kind_code}")
+    config_id = r.text()
+    (n_labels,) = r.unpack("<I")
+    labels = [r.text() for _ in range(n_labels)]
 
-    if kind_code == 0:
-        kid, pos = _unpack_str(data, pos)
-        (c,) = struct.unpack_from("<d", data, pos)
-        pos += 8
-        spec = KernelSpec.parse(kid)
+    if _KINDS[kind_code] == "svm":
+        spec = KernelSpec.parse(r.text())
+        (c,) = r.unpack("<d")
         machines: Dict[str, BinarySvm] = {}
         for lb in labels:
-            n_sv, dim, bias = struct.unpack_from("<IId", data, pos)
-            pos += struct.calcsize("<IId")
-            sv = np.frombuffer(data, dtype="<f8", count=n_sv * dim, offset=pos).reshape(n_sv, dim)
-            pos += n_sv * dim * 8
-            coef = np.frombuffer(data, dtype="<f8", count=n_sv, offset=pos)
-            pos += n_sv * 8
+            n_sv, dim, bias = r.unpack("<IId")
+            sv = r.array("<f8", n_sv * dim).reshape(n_sv, dim)
+            coef = r.array("<f8", n_sv)
             machines[lb] = BinarySvm(sv.copy(), coef.copy(), bias, spec)
         return ClassifierModel("svm", config_id, labels, svm=SvmModel(labels, machines, spec, c))
 
-    (n_parts,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    part_meta = []
-    for _ in range(n_parts):
-        name, pos = _unpack_str(data, pos)
-        measure, pos = _unpack_str(data, pos)
-        weight, dim = struct.unpack_from("<dI", data, pos)
-        pos += struct.calcsize("<dI")
-        part_meta.append((name, measure, weight, dim))
-    (n_items,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    (n_parts,) = r.unpack("<I")
+    part_meta = [(r.text(), r.text(), *r.unpack("<dI")) for _ in range(n_parts)]
+    (n_items,) = r.unpack("<I")
     gallery = []
     for _ in range(n_items):
-        (li,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        parts = []
-        for name, measure, weight, dim in part_meta:
-            vec = np.frombuffer(data, dtype="<f8", count=dim, offset=pos).copy()
-            pos += dim * 8
-            parts.append(CompositePart(name, vec, measure, weight))
-        gallery.append((labels[li], CompositeFeature(tuple(parts))))
-    thr = np.frombuffer(data, dtype="<f8", count=n_labels, offset=pos)
-    thresholds = ThresholdSet(dict(zip(labels, thr.tolist())))
+        (li,) = r.unpack("<I")
+        if li >= n_labels:
+            raise ValueError(f"{path}: gallery label index {li} out of range")
+        parts = tuple(
+            CompositePart(name, r.array("<f8", dim).copy(), measure, weight)
+            for name, measure, weight, dim in part_meta
+        )
+        gallery.append((labels[li], CompositeFeature(parts)))
+    thresholds = ThresholdSet(dict(zip(labels, r.array("<f8", n_labels).tolist())))
     return ClassifierModel("nn", config_id, labels, gallery=gallery, thresholds=thresholds)

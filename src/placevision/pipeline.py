@@ -35,7 +35,7 @@ from .classify import (
     ova_train,
 )
 from .distances import parse_measure
-from .evaluate import build_report, write_report
+from .evaluate import build_report, write_csv, write_report
 from .histograms import (
     hsv_histogram,
     normalize_l1,
@@ -121,6 +121,24 @@ def read_manifest(path) -> Manifest:
 
 _DEFAULT_MEASURES = {"rgb": "jeffrey", "hsv": "bhattacharyya", "bovw": "minkowski:1"}
 
+# Every config key; a tuple lists the only values its key accepts.
+_CONFIG_KEYS = {
+    **dict.fromkeys(
+        """seed features.parts
+        rgb.bins rgb.measure rgb.weight hsv.bins hsv.measure hsv.weight bovw.k bovw.measure bovw.weight
+        sift.octaves sift.scales_per_octave sift.sigma0 sift.contrast_threshold sift.edge_ratio
+        sift.orientation_sigma_factor
+        vocab.distance vocab.threshold vocab.max_iter vocab.sample_cap
+        classifier.c classifier.rbf_sigma
+        ga.enabled ga.population ga.mutation_rate ga.crossover_rate ga.generations ga.validation_fraction
+        """.split()
+    ),
+    "bovw.feature": ("sift", "asift", "rgbsift"),
+    "vocab.builder": ("kmeans", "incremental"),
+    "classifier.kind": ("svm", "nn"),
+    "classifier.kernel": ("linear", "rbf", "chi2"),
+}
+
 
 @dataclass(frozen=True)
 class PartConfig:
@@ -194,7 +212,13 @@ def parse_config_text(text: str) -> PipelineConfig:
         if "=" not in stripped:
             raise DataError(f"config line {ln}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        kv[key.strip().lower()] = value.strip()
+        key, value = key.strip().lower(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"config line {ln}: unknown key {key!r}")
+        choices = _CONFIG_KEYS[key]
+        if choices and value not in choices:
+            raise DataError(f"config line {ln}: {key} must be one of {' | '.join(choices)}, got {value!r}")
+        kv[key] = value
 
     part_names = [p.strip() for p in kv.get("features.parts", "rgb,hsv,bovw").split(",") if p.strip()]
     if not part_names:
@@ -399,9 +423,9 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         desc_file = feat_dir / f"{artifact_stem(row.path)}.desc"
         if not desc_file.exists():
             continue
-        items = read_descriptors(desc_file)
-        if items:
-            stacks.append(np.stack([d.values for _, d in items]))
+        _, values = read_descriptors(desc_file)
+        if len(values):
+            stacks.append(values)
     if not stacks:
         raise DataError("no descriptors found; did the features stage run?")
     descriptors = np.vstack(stacks)
@@ -440,11 +464,11 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
         desc_file = feat_dir / f"{stem}.desc"
         if not desc_file.exists():
             continue
-        items = read_descriptors(desc_file)
-        if not items:
+        _, values = read_descriptors(desc_file)
+        if not len(values):
             log(f"warning: {row.path}: no descriptors, image has no bovw part")
             continue
-        vec = bovw_mod.encode_image(np.stack([d.values for _, d in items]), vocab)
+        vec = bovw_mod.encode_image(values, vocab)
         write_histogram_csv(vec.as_histogram(), feat_dir / f"{stem}.bovw.csv")
         encoded += 1
     if encoded == 0:
@@ -566,20 +590,14 @@ def run_predict(
     labeled = load_labeled_features(manifest, config, out_dir, log)
 
     if model.kind == "svm":
-        scores = model.svm.scores(np.stack([feat.concatenated() for _, feat in labeled]))
-        best = scores.argmax(axis=1)
-        predicted = [model.labels[int(b)] for b in best]
-        confidence = scores[np.arange(len(best)), best]
+        svm = model.svm
+        predicted, confidence = svm.decide(svm.scores(np.stack([feat.concatenated() for _, feat in labeled])))
     else:
         dists, gallery_labels = nn_distances([f for _, f in labeled], model.gallery)
         predicted, nearest = nn_decide(dists, gallery_labels, model.thresholds)
         confidence = -nearest
-    path = Path(out_dir) / "predictions.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "predicted", "score"])
-        for (row, _), label, score in zip(labeled, predicted, confidence):
-            writer.writerow([row.path, label, f"{score:.10g}"])
+    rows = [[row.path, label, f"{score:.10g}"] for (row, _), label, score in zip(labeled, predicted, confidence)]
+    path = write_csv(Path(out_dir) / "predictions.csv", [["path", "predicted", "score"], *rows])
     log(f"predictions: {len(labeled)} rows -> {path}")
     return path
 

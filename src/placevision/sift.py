@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .binfile import Reader, write_atomic
 from .image import GrayImage, Image, downsample2, gaussian_blur, to_grayscale
 
 DESCRIPTOR_CELLS = 4
@@ -684,44 +685,25 @@ def extract_rgb_sift(
 # descriptor file format: little-endian binary + CSV debug dump
 # ---------------------------------------------------------------------------
 
-_DESC_MAGIC = b"PVSD"
-_DESC_VERSION = 1
+_DESC_HEADER = b"PVSD" + struct.pack("<I", 1)  # tag, format version
 
 
 def write_descriptors(items: Sequence[Tuple[Keypoint, Descriptor]], path) -> None:
+    """One record per item: x, y, sigma, orientation, then the descriptor
+    values, all ``<f4``."""
     dim = len(items[0][1].values) if items else DESCRIPTOR_SIZE
-    chunks = [_DESC_MAGIC, struct.pack("<III", _DESC_VERSION, len(items), dim)]
-    for kp, desc in items:
-        if len(desc.values) != dim:
-            raise ValueError("mixed descriptor dimensions in one file")
-        chunks.append(struct.pack("<ffff", kp.x, kp.y, kp.sigma, kp.orientation))
-        chunks.append(np.asarray(desc.values, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    records = np.empty((len(items), 4 + dim), dtype="<f4")
+    records[:, :4] = _columns([kp for kp, _ in items]).T
+    records[:, 4:] = np.array([desc.values for _, desc in items]).reshape(len(items), dim)
+    write_atomic(path, [_DESC_HEADER, struct.pack("<II", len(items), dim), records.tobytes()])
 
 
-def read_descriptors(path) -> List[Tuple[Keypoint, Descriptor]]:
-    data = Path(path).read_bytes()
-    if data[:4] != _DESC_MAGIC:
-        raise ValueError(f"{path}: not a descriptor file")
-    if len(data) < 16:
-        raise ValueError(f"{path}: truncated descriptor file header")
-    version, count, dim = struct.unpack_from("<III", data, 4)
-    if version != _DESC_VERSION:
-        raise ValueError(f"{path}: unsupported descriptor file version {version}")
-    out = []
-    pos = 16
-    rec = 16 + 4 * dim
-    if len(data) < pos + count * rec:
-        raise ValueError(f"{path}: truncated descriptor file")
-    for _ in range(count):
-        x, y, sigma, orientation = struct.unpack_from("<ffff", data, pos)
-        values = np.frombuffer(data, dtype="<f4", count=dim, offset=pos + 16).astype(
-            np.float64
-        )
-        kp = Keypoint(x, y, sigma, orientation, octave=0, layer=0)
-        out.append((kp, Descriptor(values, kp)))
-        pos += rec
-    return out
+def read_descriptors(path) -> Tuple[np.ndarray, np.ndarray]:
+    """(keypoints (n, 4) as x, y, sigma, orientation; values (n, dim)), float64."""
+    r = Reader(path, _DESC_HEADER, "descriptor")
+    count, dim = r.unpack("<II")
+    records = r.array("<f4", count * (4 + dim)).reshape(count, 4 + dim).astype(np.float64)
+    return records[:, :4], records[:, 4:]
 
 
 def write_descriptors_csv(items: Sequence[Tuple[Keypoint, Descriptor]], path) -> None:

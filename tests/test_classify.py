@@ -161,6 +161,17 @@ def test_scores_vector_shape_and_argmax_shift_invariance(blobs_model):
     assert model.labels[int(shifted.argmax())] == label
 
 
+def test_svm_decision_is_batched_with_ties_to_the_lowest_label(blobs_model):
+    x, _, model = blobs_model
+    scores = np.array([[1.0, 1.0, 0.5], [0.0, 2.0, 2.0], [-1.0, -3.0, -0.5]])
+    labels, best = model.decide(scores)
+    assert labels == ["a", "b", "c"]
+    assert best.tolist() == [1.0, 2.0, -0.5]
+    labels, best = model.decide(model.scores(x))
+    assert labels == [ova_predict(model, row)[0] for row in x]
+    assert np.array_equal(best, model.scores(x).max(axis=1))
+
+
 def test_two_class_ova_agrees_with_binary_sign():
     rng = np.random.default_rng(7)
     x = np.vstack([rng.normal([-1, 0], 0.2, (12, 2)), rng.normal([1, 0], 0.2, (12, 2))])

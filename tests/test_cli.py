@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from placevision.cli import main
 from placevision.image import Image, load_pnm, write_pnm
-from placevision.pipeline import artifact_stem, read_manifest
+from placevision.pipeline import artifact_stem, parse_config_text, read_manifest
 
 CONFIG = """
 features.parts = rgb,hsv,bovw
@@ -302,3 +303,62 @@ def test_failed_reextraction_leaves_no_stale_features(dataset, tmp_path, capsys)
     preds = (out / "predictions.csv").read_text().splitlines()
     assert len(preds) == 1 + 5
     assert not any(victim.path in ln for ln in preds)
+
+
+@pytest.mark.parametrize("line, named", [
+    ("classifer.kind = nn", "unknown key 'classifer.kind'"),
+    ("classifier.kind = knn", "classifier.kind"),
+    ("classifier.kernel = poly", "classifier.kernel"),
+    ("bovw.feature = surf", "bovw.feature"),
+    ("vocab.builder = kmedoids", "vocab.builder"),
+])
+def test_unknown_config_key_or_choice_fails_before_features(dataset, tmp_path, capsys, line, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.lstrip("\n") + line + "\n")
+    out = tmp_path / "out"
+    rc = run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                    "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config line 7" in err and named in err
+    assert not out.exists()
+
+
+def test_readme_configuration_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = parse_config_text(block)
+    assert [p.name for p in config.parts] == ["rgb", "hsv", "bovw"]
+    assert config.part("bovw").feature == "sift"
+    assert config.classifier == "svm" and config.kernel == "rbf"
+    assert config.kernel_sigma is None  # auto
+    assert not config.ga_enabled and config.seed == 7
+
+
+@pytest.fixture(scope="module")
+def trained(dataset, tmp_path_factory):
+    """An artifact directory after features, vocab, encode and train."""
+    out = tmp_path_factory.mktemp("trained") / "out"
+    man = dataset / "manifest.tsv"
+    for stage in (["features"], ["vocab", "--sequences", "1,3"], ["encode"],
+                  ["train", "--sequences", "1,3"]):
+        assert run_stage([stage[0], "--manifest", man, "--config", dataset / "pipeline.cfg",
+                          "--out", out] + stage[1:]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage, artifact, size", [
+    ("predict", "model.bin", 40),
+    ("encode", "vocab.bin", 10),
+])
+def test_truncated_binary_artifact_is_data_error(dataset, trained, tmp_path, capsys, stage,
+                                                 artifact, size):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / artifact
+    path.write_bytes(path.read_bytes()[:size])
+    capsys.readouterr()
+    rc = run_stage([stage, "--manifest", dataset / "manifest.tsv",
+                    "--config", dataset / "pipeline.cfg", "--out", out])
+    assert rc == 2
+    assert f"{path}: truncated" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,36 @@ def test_model_container_validation():
         ClassifierModel("svm", "cfg", ["a"])
     with pytest.raises(ValueError):
         ClassifierModel("nn", "cfg", ["a"], gallery=None, thresholds=None)
+
+
+def _nn_model_bytes(tmp_path):
+    gallery = [
+        ("a", CompositeFeature((CompositePart("rgb", np.array([0.2, 0.8]), "jeffrey", 1.0),))),
+        ("b", CompositeFeature((CompositePart("rgb", np.array([0.9, 0.1]), "jeffrey", 1.0),))),
+    ]
+    model = ClassifierModel("nn", gallery[0][1].config_id(), ["a", "b"], gallery=gallery,
+                            thresholds=ThresholdSet({"a": 0.5, "b": 0.5}))
+    save_model(model, tmp_path / "nn.bin")
+    return bytearray((tmp_path / "nn.bin").read_bytes()), model
+
+
+def test_model_file_rejects_unknown_kind_code(tmp_path):
+    data, _ = _nn_model_bytes(tmp_path)
+    data[8] = 2  # after magic and version: 0 svm, 1 nn
+    p = tmp_path / "kind.bin"
+    p.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="unknown model kind"):
+        load_model(p)
+
+
+def test_model_file_rejects_out_of_range_gallery_label(tmp_path):
+    data, model = _nn_model_bytes(tmp_path)
+    texts = [model.config_id, *model.labels, "rgb", "jeffrey"]
+    # magic, version, kind, the texts, n_labels, n_parts, weight+dim, n_items
+    first_index = 4 + 5 + sum(4 + len(t) for t in texts) + 4 + 4 + 12 + 4
+    assert data[first_index : first_index + 4] == struct.pack("<I", 0)
+    data[first_index : first_index + 4] = struct.pack("<I", 7)
+    p = tmp_path / "label.bin"
+    p.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="label index 7"):
+        load_model(p)

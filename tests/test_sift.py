@@ -394,12 +394,12 @@ def test_descriptor_file_round_trip(tmp_path, small_texture):
     feats = extract_sift(small_texture)[:17]
     path = tmp_path / "kp.desc"
     write_descriptors(feats, path)
-    back = read_descriptors(path)
-    assert len(back) == 17
-    for (ka, da), (kb, db) in zip(feats, back):
-        assert kb.x == pytest.approx(ka.x, abs=1e-4)
-        assert kb.sigma == pytest.approx(ka.sigma, rel=1e-6)
-        assert np.abs(da.values - db.values).max() < 1e-6
+    keypoints, values = read_descriptors(path)
+    assert keypoints.shape == (17, 4) and values.shape == (17, 128)
+    for (ka, da), (x, _, sigma, _), vb in zip(feats, keypoints, values):
+        assert x == pytest.approx(ka.x, abs=1e-4)
+        assert sigma == pytest.approx(ka.sigma, rel=1e-6)
+        assert np.abs(da.values - vb).max() < 1e-6
     write_descriptors_csv(feats, tmp_path / "kp.csv")
     lines = (tmp_path / "kp.csv").read_text().splitlines()
     assert lines[0].startswith("x,y,sigma,orientation,d0")
