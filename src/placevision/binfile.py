@@ -46,6 +46,12 @@ class Reader:
         dt = np.dtype(dtype)
         return np.frombuffer(self.data, dt, count, self._take(dt.itemsize * count))
 
+    def end(self) -> None:
+        """Check that every byte was read, so a corrupt count or size field
+        that makes the reader stop early is an error too."""
+        if self.pos != len(self.data):
+            raise ValueError(f"{self.path}: trailing bytes in {self.what} file")
+
 
 def pack_text(s: str) -> bytes:
     raw = s.encode("utf-8")

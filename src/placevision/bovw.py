@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from .binfile import Reader, pack_text, write_atomic
-from .distances import get_measure, pairwise_distances, parse_measure, sq_euclidean_gram
+from .distances import get_measure, pairwise_distances, parse_measure
 from .histograms import FeatureHistogram
 
 DEFAULT_K = 100
@@ -77,30 +77,24 @@ def _is_euclidean(distance_id: str) -> bool:
     return parse_measure(distance_id)[1].get("r") == 2.0
 
 
-def _center_distances(x: np.ndarray, centers: np.ndarray, distance_id: str) -> np.ndarray:
-    """(n, k) row-to-center distances, Euclidean ones by the inner-product form."""
-    if _is_euclidean(distance_id):
-        return np.sqrt(sq_euclidean_gram(x, centers))
-    return pairwise_distances(distance_id, x, centers)
+def _distances_to(x: np.ndarray, distance_id: str):
+    """Function of a (k, dim) center matrix giving the (n, k) distances from
+    the rows of x.  Euclidean ones use the inner-product form of
+    `sq_euclidean_gram`, with the row norms of x computed once here and the
+    same operation order, in place."""
+    if not _is_euclidean(distance_id):
+        return lambda centers: pairwise_distances(distance_id, x, centers)
+    xx = (x * x).sum(axis=1)[:, None]
 
+    def euclidean(centers: np.ndarray) -> np.ndarray:
+        d = xx + (centers * centers).sum(axis=1)[None, :]
+        dots = x @ centers.T
+        dots *= 2.0  # exact, so this equals (2.0 * x) @ centers.T bit for bit
+        d -= dots
+        np.maximum(d, 0.0, out=d)
+        return np.sqrt(d, out=d)
 
-def _kmeans_pp_init(x: np.ndarray, k: int, distance_id: str, rng) -> np.ndarray:
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    d = _center_distances(x, centers[:1], distance_id)[:, 0] ** 2
-    for j in range(1, k):
-        total = d.sum()
-        if total <= 0:
-            # all remaining points coincide with a center; pick any distinct row
-            fresh = np.nonzero(d > 0)[0]
-            idx = int(fresh[0]) if fresh.size else int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d / total))
-        centers[j] = x[idx]
-        d = np.minimum(d, _center_distances(x, centers[j : j + 1], distance_id)[:, 0] ** 2)
-    return centers
+    return euclidean
 
 
 def kmeans(
@@ -124,16 +118,28 @@ def kmeans(
     n_distinct = np.unique(x, axis=0).shape[0]
     if n_distinct < k:
         raise ValueError(f"need at least k={k} distinct descriptors, have {n_distinct}")
+    n = x.shape[0]
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(x, k, distance_id, rng)
+    distances = _distances_to(x, distance_id)
     euclid = _is_euclidean(distance_id)
 
-    assign = np.full(x.shape[0], -1)
+    # k-means++ seeding
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d = distances(centers[:1])[:, 0] ** 2
+    for j in range(1, k):
+        total = d.sum()
+        # total <= 0 only when every row is at distance 0 from a center
+        idx = rng.integers(n) if total <= 0 else rng.choice(n, p=d / total)
+        centers[j] = x[idx]
+        d = np.minimum(d, distances(centers[j : j + 1])[:, 0] ** 2)
+
+    assign = np.full(n, -1)
     costs: List[float] = []
     for _ in range(max_iter):
-        dists = _center_distances(x, centers, distance_id)
+        dists = distances(centers)
         new_assign = dists.argmin(axis=1)
-        nearest = dists[np.arange(x.shape[0]), new_assign]
+        nearest = dists[np.arange(n), new_assign]
         cost = float((nearest**2).sum()) if euclid else float(nearest.sum())
         if costs and euclid and cost > costs[-1] + 1e-9 * max(1.0, costs[-1]):
             raise AssertionError("k-means cost increased between iterations")
@@ -141,16 +147,16 @@ def kmeans(
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(k):
-            members = x[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-        # re-seed empty clusters with the point farthest from its center
-        empty = [j for j in range(k) if not np.any(assign == j)]
-        if empty:
-            order = np.argsort(-nearest)
-            for slot, j in enumerate(empty):
-                centers[j] = x[order[slot]]
+        # each center is the mean of its rows, gathered in input order
+        counts = np.bincount(assign, minlength=k)
+        ends = np.cumsum(counts)
+        members = np.argsort(assign, kind="stable")
+        for j in np.flatnonzero(counts):
+            centers[j] = x[members[ends[j] - counts[j] : ends[j]]].mean(axis=0)
+        # re-seed empty clusters with the points farthest from their centers
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            centers[empty] = x[np.argsort(-nearest)[: empty.size]]
     return Vocabulary(centers, distance_id, "kmeans", seed, cost_history=tuple(costs))
 
 
@@ -184,7 +190,7 @@ def quantize(x, vocab: Vocabulary) -> int:
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (vocab.dim,):
         raise ValueError(f"descriptor dim {v.shape} does not match vocabulary ({vocab.dim},)")
-    d = _center_distances(v[None, :], vocab.centers, vocab.distance_id)[0]
+    d = _distances_to(v[None, :], vocab.distance_id)(vocab.centers)[0]
     return int(d.argmin())
 
 
@@ -198,7 +204,7 @@ def encode_image(descriptors, vocab: Vocabulary) -> BowVector:
     if x.size == 0:
         raise ValueError("cannot encode an image with no descriptors")
     x = _as_matrix(x)
-    d = _center_distances(x, vocab.centers, vocab.distance_id)
+    d = _distances_to(x, vocab.distance_id)(vocab.centers)
     words = d.argmin(axis=1)
     counts = np.bincount(words, minlength=vocab.k).astype(np.float64)
     return BowVector(counts / counts.sum())
@@ -218,7 +224,9 @@ def read_vocabulary(path) -> Vocabulary:
     r = Reader(path, _VOCAB_HEADER, "vocabulary")
     k, dim, seed = r.unpack("<IIq")
     did, built = r.text(), r.text()
-    return Vocabulary(r.array("<f4", k * dim).reshape(k, dim).astype(np.float64), did, built, seed)
+    centers = r.array("<f4", k * dim).reshape(k, dim).astype(np.float64)
+    r.end()
+    return Vocabulary(centers, did, built, seed)
 
 
 def write_vocabulary_csv(vocab: Vocabulary, path) -> None:

@@ -100,6 +100,7 @@ def load_model(path) -> ClassifierModel:
             sv = r.array("<f8", n_sv * dim).reshape(n_sv, dim)
             coef = r.array("<f8", n_sv)
             machines[lb] = BinarySvm(sv.copy(), coef.copy(), bias, spec)
+        r.end()
         return ClassifierModel("svm", config_id, labels, svm=SvmModel(labels, machines, spec, c))
 
     (n_parts,) = r.unpack("<I")
@@ -116,4 +117,5 @@ def load_model(path) -> ClassifierModel:
         )
         gallery.append((labels[li], CompositeFeature(parts)))
     thresholds = ThresholdSet(dict(zip(labels, r.array("<f8", n_labels).tolist())))
+    r.end()
     return ClassifierModel("nn", config_id, labels, gallery=gallery, thresholds=thresholds)

@@ -130,13 +130,14 @@ _CONFIG_KEYS = {
         sift.orientation_sigma_factor
         vocab.distance vocab.threshold vocab.max_iter vocab.sample_cap
         classifier.c classifier.rbf_sigma
-        ga.enabled ga.population ga.mutation_rate ga.crossover_rate ga.generations ga.validation_fraction
+        ga.population ga.mutation_rate ga.crossover_rate ga.generations ga.validation_fraction
         """.split()
     ),
     "bovw.feature": ("sift", "asift", "rgbsift"),
     "vocab.builder": ("kmeans", "incremental"),
     "classifier.kind": ("svm", "nn"),
     "classifier.kernel": ("linear", "rbf", "chi2"),
+    "ga.enabled": ("0", "1", "true", "false", "yes", "no"),
 }
 
 
@@ -443,8 +444,10 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         raise DataError(f"unknown vocabulary builder {config.vocab_builder!r}")
     path = Path(out_dir) / "vocab.bin"
     bovw_mod.write_vocabulary(vocab, path)
+    costs = vocab.cost_history  # empty for the incremental builder
+    lloyd = f", {len(costs)} Lloyd iterations, final cost {costs[-1]:.6g}" if costs else ""
     log(
-        f"vocabulary: {vocab.k} words over {descriptors.shape[0]} descriptors "
+        f"vocabulary: {vocab.k} words over {descriptors.shape[0]} descriptors{lloyd} "
         f"in {time.perf_counter() - started:.1f}s"
     )
     return path

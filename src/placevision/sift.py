@@ -703,6 +703,7 @@ def read_descriptors(path) -> Tuple[np.ndarray, np.ndarray]:
     r = Reader(path, _DESC_HEADER, "descriptor")
     count, dim = r.unpack("<II")
     records = r.array("<f4", count * (4 + dim)).reshape(count, 4 + dim).astype(np.float64)
+    r.end()
     return records[:, :4], records[:, 4:]
 
 

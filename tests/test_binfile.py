@@ -1,5 +1,7 @@
 """Corrupt binary artifacts fail as ValueError naming the file; writes are atomic."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,31 @@ def test_every_prefix_is_value_error_naming_the_file(tmp_path, valid, name):
         with pytest.raises(ValueError) as exc:
             LOADERS[name](path)
         assert str(path) in str(exc.value), (cut, exc.value)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_trailing_bytes_are_value_error_naming_the_file(tmp_path, valid, name):
+    path = tmp_path / name
+    path.write_bytes(valid[name] + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes") as exc:
+        LOADERS[name](path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("field, value", [(12, 2), (8, 64)])  # dim 128 -> 2, count 65 -> 64
+def test_descriptor_file_with_corrupt_count_or_dim_is_value_error(tmp_path, field, value):
+    rng = np.random.default_rng(5)
+    items = []
+    for _ in range(65):
+        kp = Keypoint(*rng.random(4), octave=0, layer=1)
+        items.append((kp, Descriptor(rng.random(128), kp)))
+    path = tmp_path / "gallery.desc"
+    write_descriptors(items, path)
+    data = bytearray(path.read_bytes())
+    data[field : field + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="trailing bytes in descriptor file"):
+        read_descriptors(path)
 
 
 @given(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from placevision.bovw import (
     write_vocabulary,
     write_vocabulary_csv,
 )
+from placevision.distances import pairwise_distances, parse_measure, sq_euclidean_gram
 
 
 def three_clusters(rng, n_per=10, spread=0.12):
@@ -124,6 +127,105 @@ def test_kmeans_deterministic_given_seed():
     assert np.array_equal(a.centers, b.centers)
     c = kmeans(pts, k=7, seed=12)
     assert not np.array_equal(a.centers, c.centers)
+
+
+def mask_loop_kmeans(x, k, distance_id, seed, max_iter, events):
+    """The per-cluster definition of `kmeans`: k-means++ seeding, then Lloyd
+    steps with one boolean mask per cluster.  Counts zero-total seeding
+    draws and empty-cluster re-seeds in `events`."""
+    euclid = parse_measure(distance_id)[1].get("r") == 2.0
+
+    def dist(c):
+        if euclid:
+            return np.sqrt(sq_euclidean_gram(x, c))
+        return pairwise_distances(distance_id, x, c)
+
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[int(rng.integers(n))]
+    d = dist(centers[:1])[:, 0] ** 2
+    for j in range(1, k):
+        total = d.sum()
+        if total <= 0:
+            events["zero_total"] += 1
+            fresh = np.nonzero(d > 0)[0]
+            idx = int(fresh[0]) if fresh.size else int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d / total))
+        centers[j] = x[idx]
+        d = np.minimum(d, dist(centers[j : j + 1])[:, 0] ** 2)
+    assign = np.full(n, -1)
+    costs = []
+    for _ in range(max_iter):
+        dists = dist(centers)
+        new_assign = dists.argmin(axis=1)
+        nearest = dists[np.arange(n), new_assign]
+        cost = float((nearest**2).sum()) if euclid else float(nearest.sum())
+        if costs and euclid and cost > costs[-1] + 1e-9 * max(1.0, costs[-1]):
+            raise AssertionError("k-means cost increased between iterations")
+        costs.append(cost)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = x[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+        empty = [j for j in range(k) if not np.any(assign == j)]
+        events["reseeds"] += len(empty)
+        order = np.argsort(-nearest)
+        for slot, j in enumerate(empty):
+            centers[j] = x[order[slot]]
+    return centers, tuple(costs)
+
+
+def assert_matches_mask_loop(x, k, distance_id, seed, max_iter, events):
+    try:
+        want = mask_loop_kmeans(x, k, distance_id, seed, max_iter, events)
+    except AssertionError:
+        with pytest.raises(AssertionError):
+            kmeans(x, k, distance_id, seed, max_iter)
+        return
+    got = kmeans(x, k, distance_id, seed, max_iter)
+    assert got.centers.tobytes() == want[0].tobytes(), (k, distance_id, seed, max_iter)
+    assert got.cost_history == want[1], (k, distance_id, seed, max_iter)
+
+
+@pytest.mark.parametrize("distance_id", ["euclidean", "minkowski:1", "chi2sym"])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_kmeans_is_bit_identical_to_mask_loop_definition(distance_id, scale):
+    events = {"zero_total": 0, "reseeds": 0}
+    for case, (n, dim, k, max_iter) in enumerate(
+        [(20, 2, 3, 100), (60, 4, 8, 3), (40, 3, 12, 100), (200, 16, 20, 100)]
+    ):
+        for seed in range(3):
+            x = np.random.default_rng([case, seed]).random((n, dim)) * scale
+            assert_matches_mask_loop(x, k, distance_id, seed, max_iter, events)
+
+
+def test_kmeans_matches_mask_loop_when_clusters_empty():
+    # rows that differ by 1e-11 at magnitude 1e3 are 0 apart in the
+    # inner-product form: seeding draws at zero total and clusters empty
+    events = {"zero_total": 0, "reseeds": 0}
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, k, dim = int(rng.integers(10, 40)), int(rng.integers(2, 8)), int(rng.integers(1, 6))
+        x = np.vstack([1e3 + rng.integers(0, 5, size=(n, dim)) * 1e-11, 1e3 + rng.random((3, dim))])
+        if np.unique(x, axis=0).shape[0] >= k:
+            assert_matches_mask_loop(x, k, "euclidean", seed, 100, events)
+    assert events["zero_total"] > 0 and events["reseeds"] > 0, events
+
+
+def test_kmeans_peak_memory_is_bounded():
+    x = np.random.default_rng(13).random((4000, 128))
+    tracemalloc.start()
+    try:
+        kmeans(x, k=100, seed=1, max_iter=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.nbytes, (peak, x.nbytes)
 
 
 def test_incremental_threshold_extremes():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 import shutil
 from pathlib import Path
 
@@ -311,6 +312,7 @@ def test_failed_reextraction_leaves_no_stale_features(dataset, tmp_path, capsys)
     ("classifier.kernel = poly", "classifier.kernel"),
     ("bovw.feature = surf", "bovw.feature"),
     ("vocab.builder = kmedoids", "vocab.builder"),
+    ("ga.enabled = on", "ga.enabled"),
 ])
 def test_unknown_config_key_or_choice_fails_before_features(dataset, tmp_path, capsys, line, named):
     cfg = tmp_path / "bad.cfg"
@@ -362,3 +364,32 @@ def test_truncated_binary_artifact_is_data_error(dataset, trained, tmp_path, cap
                     "--config", dataset / "pipeline.cfg", "--out", out])
     assert rc == 2
     assert f"{path}: truncated" in capsys.readouterr().err
+
+
+def test_descriptor_file_with_corrupt_count_is_data_error(dataset, trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = sorted((out / "features").glob("*.desc"))[0]
+    data = bytearray(path.read_bytes())
+    count = int.from_bytes(data[8:12], "little")
+    data[8:12] = (count - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    rc = run_stage(["vocab", "--manifest", dataset / "manifest.tsv",
+                    "--config", dataset / "pipeline.cfg", "--out", out, "--sequences", "1,2,3"])
+    assert rc == 2
+    assert f"{path}: trailing bytes in descriptor file" in capsys.readouterr().err
+
+
+def test_vocab_log_reports_lloyd_iterations_and_cost(dataset, trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    capsys.readouterr()
+    assert run_stage(["vocab", "--manifest", dataset / "manifest.tsv",
+                      "--config", dataset / "pipeline.cfg", "--out", out,
+                      "--sequences", "1,3"]) == 0
+    line = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("vocabulary:")]
+    assert len(line) == 1
+    assert re.fullmatch(
+        r"vocabulary: 12 words over \d+ descriptors, \d+ Lloyd iterations, "
+        r"final cost \S+ in \d+\.\ds", line[0]), line[0]
