@@ -7,10 +7,10 @@ do the room recognition.  The `placevision` CLI batches the full
 pipeline over image manifests.
 """
 
-from .image import GrayImage, HsvPixel, Image, PnmError, load_pnm, write_pnm
+from .image import GrayImage, HsvPixel, Image, PnmError, load_pnm, to_grayscale, write_pnm
 from .histograms import FeatureHistogram, hsv_histogram, normalize_l1, rgb_histogram
 from .distances import emd, get_measure
-from .sift import Descriptor, Keypoint, SiftParams, extract_rgb_sift, extract_sift
+from .sift import SiftParams, extract_rgb_sift, extract_sift
 from .asift import AffineView, asift_views, extract_asift
 from .bovw import BowVector, Vocabulary, encode_image, incremental_vocab, kmeans, quantize
 from .classify import (
@@ -38,7 +38,6 @@ __all__ = [
     "BowVector",
     "CompositeFeature",
     "CompositePart",
-    "Descriptor",
     "EvalReport",
     "FeatureHistogram",
     "GaParams",
@@ -46,7 +45,6 @@ __all__ = [
     "HsvPixel",
     "Image",
     "KernelSpec",
-    "Keypoint",
     "PnmError",
     "SiftParams",
     "SvmModel",
@@ -78,6 +76,7 @@ __all__ = [
     "quantize",
     "rgb_histogram",
     "svm_train",
+    "to_grayscale",
     "write_pnm",
     "write_report",
 ]

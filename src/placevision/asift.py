@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .image import GrayImage, gaussian_kernel1d, _convolve_axis
-from .sift import Descriptor, Keypoint, SiftParams, extract_sift
+from .sift import DESCRIPTOR_SIZE, SiftParams, _output_order, _sift_features
 
 DEFAULT_TILTS = (1.0, math.sqrt(2.0), 2.0, 2.0 * math.sqrt(2.0), 4.0)
 DEFAULT_PHI_STEP = 72.0
@@ -125,23 +125,26 @@ def extract_asift(
     params: SiftParams = SiftParams(),
     tilt_levels: Sequence[float] = DEFAULT_TILTS,
     phi_step_deg: float = DEFAULT_PHI_STEP,
-) -> List[Tuple[Keypoint, Descriptor]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Union of SIFT features over all simulated views, with keypoint
-    coordinates mapped back to the original frame; descriptors unchanged."""
-    out: List[Tuple[Keypoint, Descriptor]] = []
+    coordinates mapped back to the original frame; descriptors unchanged.
+    Returns keypoints (n, 4) and values (n, 128) in the order of
+    ``extract_sift``, views in turn on ties."""
+    kps, values = [np.empty((0, 4))], [np.empty((0, DESCRIPTOR_SIZE))]
+    levels = [np.empty((0, 2), dtype=np.intp)]
     w, h = img.width, img.height
     for view in asift_views(img, tilt_levels, phi_step_deg):
         try:
-            feats = extract_sift(view.image, params)
+            kp, v, level = _sift_features(view.image, params)
         except ValueError:
             continue  # strongly compressed views can be too small to pyramid
         inv = view.inverse
-        for kp, desc in feats:
-            x = inv[0, 0] * kp.x + inv[0, 1] * kp.y + inv[0, 2]
-            y = inv[1, 0] * kp.x + inv[1, 1] * kp.y + inv[1, 2]
-            if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
-                continue
-            mapped = Keypoint(x, y, kp.sigma, kp.orientation, kp.octave, kp.layer)
-            out.append((mapped, Descriptor(desc.values, mapped)))
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return out
+        x = inv[0, 0] * kp[:, 0] + inv[0, 1] * kp[:, 1] + inv[0, 2]
+        y = inv[1, 0] * kp[:, 0] + inv[1, 1] * kp[:, 1] + inv[1, 2]
+        inside = (0.0 <= x) & (x <= w - 1) & (0.0 <= y) & (y <= h - 1)
+        kps.append(np.column_stack([x, y, kp[:, 2:]])[inside])
+        values.append(v[inside])
+        levels.append(level[inside])
+    kp, level = np.concatenate(kps), np.concatenate(levels)
+    order = _output_order(kp, level)
+    return kp[order], np.concatenate(values)[order]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List
 
 import numpy as np
@@ -68,9 +67,19 @@ class BowVector:
 
 def _as_matrix(descriptors) -> np.ndarray:
     x = np.asarray(descriptors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
+    if x.ndim != 2 or x.size == 0:
         raise ValueError("descriptors must form a non-empty (n, dim) matrix")
     return x
+
+
+def _count_distinct_rows(x: np.ndarray) -> int:
+    """Number of distinct rows of a non-empty matrix, as
+    ``np.unique(x, axis=0)`` counts them.  Rows are compared as raw bytes,
+    sorted in place in one copy; ``+ 0.0`` folds -0.0 into 0.0 first."""
+    rows = np.ascontiguousarray(x + 0.0)
+    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    rows.sort()
+    return 1 + np.count_nonzero(rows[1:] != rows[:-1])
 
 
 def _is_euclidean(distance_id: str) -> bool:
@@ -115,7 +124,7 @@ def kmeans(
     x = _as_matrix(descriptors)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    n_distinct = np.unique(x, axis=0).shape[0]
+    n_distinct = _count_distinct_rows(x)
     if n_distinct < k:
         raise ValueError(f"need at least k={k} distinct descriptors, have {n_distinct}")
     n = x.shape[0]
@@ -211,7 +220,7 @@ def encode_image(descriptors, vocab: Vocabulary) -> BowVector:
 
 
 # ---------------------------------------------------------------------------
-# vocabulary file: little-endian binary, plus a CSV export for inspection
+# vocabulary file: little-endian binary
 # ---------------------------------------------------------------------------
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
@@ -227,10 +236,3 @@ def read_vocabulary(path) -> Vocabulary:
     centers = r.array("<f4", k * dim).reshape(k, dim).astype(np.float64)
     r.end()
     return Vocabulary(centers, did, built, seed)
-
-
-def write_vocabulary_csv(vocab: Vocabulary, path) -> None:
-    lines = [f"# k={vocab.k} dim={vocab.dim} distance={vocab.distance_id} built_by={vocab.built_by} seed={vocab.seed}"]
-    for row in vocab.centers:
-        lines.append(",".join(f"{v:.9g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -99,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    sequences = _parse_sequences(args.sequences)  # usage check before any I/O
+    sequences = _parse_sequences(args.sequences)  # usage checks before any I/O
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     manifest = read_manifest(args.manifest).select(sequences)
     config = None
     if getattr(args, "config", None):

@@ -375,8 +375,10 @@ def run_features(
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_id.txt").write_text(config.config_id() + "\n")
     tasks = [(r.path, str(manifest.resolve(r)), str(out), config) for r in manifest.rows]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks every worker up front, so start no more than there are rows
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_extract_one, tasks))
     else:
         results = [_extract_one(t) for t in tasks]

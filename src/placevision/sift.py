@@ -8,24 +8,28 @@ gradient-orientation descriptor (128 values).  The color variant
 computes the 128-vector independently per R/G/B plane and concatenates
 to 384.
 
-Refinement runs batched over all candidates of an octave, orientation
-assignment and description over all keypoints of one blur level; every
-batch is processed in chunks whose largest temporary array stays within
-``_CHUNK_BYTES``.  The per-keypoint public functions are one-element
-calls into the same kernels.
+Keypoints and descriptors stay arrays from detection to the ``.desc``
+file: keypoints are an (n, 4) float64 array of x, y, sigma and
+orientation, descriptor values an (n, d) array with one row per
+keypoint; each keypoint's octave and blur layer ride along internally
+as an (n, 2) array.  Refinement runs batched over all candidates of an
+octave, orientation assignment and description over all keypoints of
+one blur level; every batch is processed in chunks whose largest
+temporary array stays within ``_CHUNK_BYTES``.  ``refine_keypoint``,
+``assign_orientations`` and ``compute_descriptor`` are one-keypoint
+calls into the same kernels; extraction does not use them.
 
 Coordinates: x is the column, y is the row, both in the base-image
-frame; ``sigma`` is the absolute scale in that frame.
+frame; ``sigma`` is the absolute scale in that frame; orientation is in
+radians in [0, 2*pi).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
-from itertools import groupby
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,30 +58,6 @@ class SiftParams:
     # the source text says 1.6x the keypoint scale here; 1.5 is the
     # canonical value, so it is exposed as a parameter
     orientation_sigma_factor: float = 1.5
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    x: float
-    y: float
-    sigma: float
-    orientation: float  # radians in [0, 2*pi)
-    octave: int
-    layer: int
-
-    def sort_key(self):
-        return (self.octave, self.layer, self.y, self.x, self.orientation)
-
-
-@dataclass(frozen=True)
-class Descriptor:
-    values: np.ndarray
-    keypoint: Keypoint
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 @dataclass
@@ -120,9 +100,6 @@ class DoGPyramid:
     @property
     def k(self) -> float:
         return 2.0 ** (1.0 / self.scales_per_octave)
-
-
-Candidate = Tuple[int, int, int, int]  # (octave, layer, y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +152,14 @@ def build_dog(ss: ScaleSpace) -> DoGPyramid:
 # extrema detection and refinement
 # ---------------------------------------------------------------------------
 
-def detect_extrema(dog: DoGPyramid) -> List[Candidate]:
-    """Strict extrema over the 3x3x3 neighborhood spanning adjacent layers.
+def detect_extrema(dog: DoGPyramid) -> np.ndarray:
+    """Strict extrema over the 3x3x3 neighborhood spanning adjacent layers,
+    as an (n, 4) intp array of (octave, layer, y, x) rows in sorted order.
 
     Plateaus produce nothing; border pixels and the first/last layer of
     each octave are excluded.
     """
-    out: List[Candidate] = []
+    out = [np.empty((0, 4), dtype=np.intp)]
     for o, stack in enumerate(dog.octaves):
         n_layers, h, w = stack.shape
         if n_layers < 3 or h < 3 or w < 3:
@@ -200,10 +178,10 @@ def detect_extrema(dog: DoGPyramid) -> List[Candidate]:
                         is_min &= center < nb
                         if not is_max.any() and not is_min.any():
                             break
+            # nonzero walks row-major, so rows come out sorted by (y, x)
             ys, xs = np.nonzero(is_max | is_min)
-            out.extend((o, l, int(y) + 1, int(x) + 1) for y, x in zip(ys, xs))
-    out.sort()
-    return out
+            out.append(np.column_stack([np.full_like(ys, o), np.full_like(ys, l), ys + 1, xs + 1]))
+    return np.concatenate(out)
 
 
 def _chunks(item_bytes: np.ndarray):
@@ -224,19 +202,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _keypoints(x, y, sigma, orientation, octave: int, layer) -> List[Keypoint]:
-    layer = np.broadcast_to(layer, np.shape(x))
-    return [
-        Keypoint(*vals, octave=octave, layer=l)
-        for *vals, l in zip(x.tolist(), y.tolist(), sigma.tolist(), orientation.tolist(), layer.tolist())
-    ]
-
-
-def _columns(kps: Sequence[Keypoint]):
-    """x, y, sigma and orientation of keypoints as float arrays."""
-    return np.array([(k.x, k.y, k.sigma, k.orientation) for k in kps], dtype=np.float64).reshape(-1, 4).T
 
 
 def _dog_derivatives(stack: np.ndarray, l: np.ndarray, y: np.ndarray, x: np.ndarray):
@@ -347,22 +312,25 @@ def _refine_octave(
 
 
 def refine_keypoint(
-    candidate: Candidate,
+    candidate,
     dog: DoGPyramid,
     contrast_threshold: float = 0.03,
     edge_ratio: float = 10.0,
     max_steps: int = 5,
-) -> Optional[Keypoint]:
-    """Sub-pixel localization with contrast and edge-response rejection.
+) -> Optional[Tuple[np.ndarray, int]]:
+    """Sub-pixel localization of one (octave, layer, y, x) candidate row
+    with contrast and edge-response rejection.
 
-    Returns None for rejected candidates (rejection is not an error).
+    Returns the keypoint (x, y, sigma, orientation 0) and its blur layer,
+    or None for a rejected candidate (rejection is not an error).
     """
     o, l, y, x = candidate
     xs, ys, sigma, layer = _refine_octave(
         dog, o, np.array([[l, y, x]], dtype=np.intp), contrast_threshold, edge_ratio, max_steps
     )
-    kps = _keypoints(xs, ys, sigma, np.zeros(len(xs)), o, layer)
-    return kps[0] if kps else None
+    if not len(xs):
+        return None
+    return np.array([xs[0], ys[0], sigma[0], 0.0]), int(layer[0])
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +409,19 @@ def _orientation_peaks(ss: ScaleSpace, octave: int, layer: int, x, y, sigma, sig
 
 
 def assign_orientations(
-    kp: Keypoint, ss: ScaleSpace, sigma_factor: float = 1.5
-) -> List[Keypoint]:
-    """Dominant gradient directions around a refined keypoint.
+    kp: np.ndarray, ss: ScaleSpace, octave: int, layer: int, sigma_factor: float = 1.5
+) -> np.ndarray:
+    """Dominant gradient directions around a refined keypoint (x, y, sigma,
+    orientation) of the given blur level.
 
     Builds a 36-bin magnitude-weighted orientation histogram in a
     Gaussian window of sigma_factor times the keypoint scale, then emits
-    one oriented keypoint per smoothed peak within 80% of the maximum,
-    with parabolic peak interpolation.
+    one oriented keypoint row (m, 4) per smoothed peak within 80% of the
+    maximum, with parabolic peak interpolation.
     """
-    x, y, sigma, _ = _columns([kp])
-    _, angles = _orientation_peaks(ss, kp.octave, kp.layer, x, y, sigma, sigma_factor)
-    return [replace(kp, orientation=a) for a in angles.tolist()]
+    kp = np.asarray(kp, dtype=np.float64)
+    _, angles = _orientation_peaks(ss, octave, layer, *kp[:3, None], sigma_factor)
+    return np.column_stack([np.tile(kp[:3], (len(angles), 1)), angles])
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +458,6 @@ def _normalize_rows(raw: np.ndarray):
     out = np.zeros_like(raw)
     out[ok] = v / np.sqrt(_rowdot(v, v))[:, None]
     return out, ok
-
-
-def finalize_descriptor(raw: np.ndarray) -> Optional[np.ndarray]:
-    """L2-normalize, clamp entries at 0.2, renormalize."""
-    values, ok = _normalize_rows(np.asarray(raw, dtype=np.float64)[None, :])
-    return values[0] if ok[0] else None
 
 
 def _descriptor_histograms(dx_img, dy_img, cx, cy, spacing, theta) -> np.ndarray:
@@ -559,57 +522,63 @@ def _descriptor_histograms(dx_img, dy_img, cx, cy, spacing, theta) -> np.ndarray
     return tensor[:, 1:-1, 1:-1, :].reshape(n, DESCRIPTOR_SIZE)
 
 
-def _raw_descriptors(ss: ScaleSpace, octave: int, layer: int, x, y, sigma, orientation):
-    """Raw 128-bin histograms (n, 128) for one image plane of keypoints
-    sharing one blur level, and the mask of those whose sampling window
-    stays inside the image (the other rows are zero)."""
-    scale_factor = 2.0**octave
-    dx_img, dy_img = ss.gradients(octave, layer)
-    h, w = dx_img.shape
-    cx = x / scale_factor
-    cy = y / scale_factor
-    spacing = 3.0 * (sigma / scale_factor) / 4.0
-    half_extent = spacing * (_SAMPLES - 1) / 2.0 * math.sqrt(2.0) + 1.0
-    inside = ~(
-        (cx - half_extent < 0)
-        | (cx + half_extent > w - 1)
-        | (cy - half_extent < 0)
-        | (cy + half_extent > h - 1)
-    )
-    raw = np.zeros((len(x), DESCRIPTOR_SIZE))
-    idx = np.flatnonzero(inside)
-    # the largest per-keypoint temporary: 8 corner votes per sample
-    for start, stop in _chunks(np.full(len(idx), 8 * _SAMPLES * _SAMPLES * 8)):
-        sel = idx[start:stop]
-        raw[sel] = _descriptor_histograms(dx_img, dy_img, cx[sel], cy[sel], spacing[sel], orientation[sel])
+def _raw_descriptors(ss: ScaleSpace, kp: np.ndarray, level: np.ndarray):
+    """Raw 128-bin histograms (n, 128) on one image plane of keypoints
+    (n, 4) with their (octave, layer) blur levels (n, 2), and the mask of
+    those whose sampling window stays inside the image (the other rows are
+    zero)."""
+    raw = np.zeros((len(kp), DESCRIPTOR_SIZE))
+    inside = np.zeros(len(kp), dtype=bool)
+    for octave, layer in np.unique(level, axis=0).tolist():
+        at = np.flatnonzero((level == (octave, layer)).all(axis=1))
+        scale_factor = 2.0**octave
+        dx_img, dy_img = ss.gradients(octave, layer)
+        h, w = dx_img.shape
+        cx = kp[at, 0] / scale_factor
+        cy = kp[at, 1] / scale_factor
+        spacing = 3.0 * (kp[at, 2] / scale_factor) / 4.0
+        half_extent = spacing * (_SAMPLES - 1) / 2.0 * math.sqrt(2.0) + 1.0
+        inside[at] = ~(
+            (cx - half_extent < 0)
+            | (cx + half_extent > w - 1)
+            | (cy - half_extent < 0)
+            | (cy + half_extent > h - 1)
+        )
+        idx = np.flatnonzero(inside[at])
+        # the largest per-keypoint temporary: 8 corner votes per sample
+        for start, stop in _chunks(np.full(len(idx), 8 * _SAMPLES * _SAMPLES * 8)):
+            sel = idx[start:stop]
+            raw[at[sel]] = _descriptor_histograms(
+                dx_img, dy_img, cx[sel], cy[sel], spacing[sel], kp[at[sel], 3]
+            )
     return raw, inside
 
 
-def _describe(ss: ScaleSpace, octave: int, layer: int, kps: Sequence[Keypoint]):
-    """(keypoint, descriptor) pairs of keypoints sharing one blur level,
-    without those whose window leaves the image or carries no gradient
-    energy."""
-    raw, inside = _raw_descriptors(ss, octave, layer, *_columns(kps))
+def compute_descriptor(kp: np.ndarray, ss: ScaleSpace, octave: int, layer: int) -> Optional[np.ndarray]:
+    """128-value descriptor of one keypoint (x, y, sigma, orientation) of the
+    given blur level; None when the window leaves the image or carries no
+    gradient energy."""
+    raw, inside = _raw_descriptors(ss, np.asarray(kp, dtype=np.float64)[None, :], np.array([[octave, layer]]))
     values, ok = _normalize_rows(raw)
-    return [(kp, Descriptor(v, kp)) for kp, v, keep in zip(kps, values, inside & ok) if keep]
-
-
-def compute_descriptor(kp: Keypoint, ss: ScaleSpace) -> Optional[Descriptor]:
-    """128-value descriptor; None when the window leaves the image or the
-    window carries no gradient energy."""
-    described = _describe(ss, kp.octave, kp.layer, [kp])
-    return described[0][1] if described else None
+    return values[0] if inside[0] and ok[0] else None
 
 
 # ---------------------------------------------------------------------------
 # end-to-end extraction
 # ---------------------------------------------------------------------------
 
+def _output_order(kp: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Stable sort order of keypoints by (octave, layer, y, x, orientation)."""
+    return np.lexsort((kp[:, 3], kp[:, 0], kp[:, 1], level[:, 1], level[:, 0]))
+
+
 def _detect_oriented_keypoints(gray: GrayImage, params: SiftParams):
+    """Scale space of an image, its oriented keypoints (n, 4) and their
+    (octave, layer) blur levels (n, 2), in output order."""
     ss = build_scale_space(gray, params.octaves, params.scales_per_octave, params.sigma0)
     dog = build_dog(ss)
-    cands = np.array(detect_extrema(dog), dtype=np.intp).reshape(-1, 4)
-    keypoints = []
+    cands = detect_extrema(dog)
+    kps, levels = [np.empty((0, 4))], [np.empty((0, 2), dtype=np.intp)]
     for o in range(len(dog.octaves)):
         x, y, sigma, layer = _refine_octave(
             dog, o, cands[cands[:, 0] == o, 1:], params.contrast_threshold, params.edge_ratio
@@ -619,83 +588,73 @@ def _detect_oriented_keypoints(gray: GrayImage, params: SiftParams):
             item, angle = _orientation_peaks(
                 ss, o, l, x[m], y[m], sigma[m], params.orientation_sigma_factor
             )
-            keypoints += _keypoints(x[m][item], y[m][item], sigma[m][item], angle, o, l)
-    # refinement can converge two candidates onto the same point
-    seen = set()
-    unique = []
-    for kp in sorted(keypoints, key=Keypoint.sort_key):
-        key = (kp.octave, round(kp.x, 3), round(kp.y, 3), round(kp.sigma, 4), round(kp.orientation, 5))
-        if key not in seen:
-            seen.add(key)
-            unique.append(kp)
-    return ss, unique
+            kps.append(np.column_stack([x[m][item], y[m][item], sigma[m][item], angle]))
+            levels.append(np.tile(np.array([o, l], dtype=np.intp), (len(item), 1)))
+    kp, level = np.concatenate(kps), np.concatenate(levels)
+    order = _output_order(kp, level)
+    kp, level = kp[order], level[order]
+    # refinement can converge two candidates onto the same point: the first
+    # in output order stays.  Python's round rounds the exact decimal value,
+    # which np.round does not.
+    rounded = ([round(v, d) for v in col] for col, d in zip(kp.T.tolist(), (3, 3, 4, 5)))
+    first = {}
+    for i, key in enumerate(zip(level[:, 0].tolist(), *rounded)):
+        first.setdefault(key, i)
+    keep = list(first.values())
+    return ss, kp[keep], level[keep]
 
 
-def _blur_level_groups(keypoints: Sequence[Keypoint]):
-    """(octave, layer, keypoints) runs of a keypoint list sorted by sort_key."""
-    for (o, l), group in groupby(keypoints, key=lambda kp: (kp.octave, kp.layer)):
-        yield o, l, list(group)
+def _sift_features(gray: GrayImage, params: SiftParams):
+    """``extract_sift``'s keypoints and values, plus the keypoints' blur levels."""
+    ss, kp, level = _detect_oriented_keypoints(gray, params)
+    raw, inside = _raw_descriptors(ss, kp, level)
+    values, ok = _normalize_rows(raw)
+    keep = inside & ok
+    return kp[keep], values[keep], level[keep]
 
 
-def extract_sift(
-    gray: GrayImage, params: SiftParams = SiftParams()
-) -> List[Tuple[Keypoint, Descriptor]]:
-    """Detect keypoints and compute descriptors; deterministic output order
-    sorted by (octave, layer, y, x, orientation)."""
-    ss, keypoints = _detect_oriented_keypoints(gray, params)
-    out = []
-    for o, l, group in _blur_level_groups(keypoints):
-        out += _describe(ss, o, l, group)
-    return out
+def extract_sift(gray: GrayImage, params: SiftParams = SiftParams()) -> Tuple[np.ndarray, np.ndarray]:
+    """Detect keypoints and compute descriptors: keypoints (n, 4) of x, y,
+    sigma and orientation, and values (n, 128), in the deterministic order
+    (octave, layer, y, x, orientation).  Keypoints whose window leaves the
+    image or carries no gradient energy are dropped."""
+    kp, values, _ = _sift_features(gray, params)
+    return kp, values
 
 
-def extract_rgb_sift(
-    img: Image, params: SiftParams = SiftParams()
-) -> List[Tuple[Keypoint, Descriptor]]:
-    """Keypoints from the grayscale plane; per keypoint one 128-vector per
-    R/G/B channel, normalized separately and concatenated to 384."""
-    gray = to_grayscale(img)
-    ss_gray, keypoints = _detect_oriented_keypoints(gray, params)
-    channel_spaces = [
-        build_scale_space(
-            GrayImage(img.pixels[:, :, c]),
-            params.octaves,
-            params.scales_per_octave,
-            params.sigma0,
+def extract_rgb_sift(img: Image, params: SiftParams = SiftParams()) -> Tuple[np.ndarray, np.ndarray]:
+    """Keypoints (n, 4) from the grayscale plane; per keypoint one 128-vector
+    per R/G/B channel, normalized separately and concatenated to 384."""
+    _, kp, level = _detect_oriented_keypoints(to_grayscale(img), params)
+    blocks = []
+    for c in range(3):
+        ss = build_scale_space(
+            GrayImage(img.pixels[:, :, c]), params.octaves, params.scales_per_octave, params.sigma0
         )
-        for c in range(3)
-    ]
-    out = []
-    for o, l, group in _blur_level_groups(keypoints):
-        cols = _columns(group)
-        blocks = []
-        for ss_c in channel_spaces:
-            raw, inside = _raw_descriptors(ss_c, o, l, *cols)
-            # a flat channel has no gradients; its block stays zero
-            blocks.append(_normalize_rows(raw)[0])
-        full = np.concatenate(blocks, axis=1)
-        norm = np.sqrt(_rowdot(full, full))
-        keep = inside & (norm > 0)
-        full[keep] /= norm[keep, None]
-        out.extend((kp, Descriptor(v, kp)) for kp, v, k in zip(group, full, keep) if k)
-    return out
+        raw, inside = _raw_descriptors(ss, kp, level)
+        # a flat channel has no gradients; its block stays zero
+        blocks.append(_normalize_rows(raw)[0])
+    full = np.concatenate(blocks, axis=1)
+    norm = np.sqrt(_rowdot(full, full))
+    keep = inside & (norm > 0)
+    return kp[keep], full[keep] / norm[keep, None]
 
 
 # ---------------------------------------------------------------------------
-# descriptor file format: little-endian binary + CSV debug dump
+# descriptor file format: little-endian binary
 # ---------------------------------------------------------------------------
 
 _DESC_HEADER = b"PVSD" + struct.pack("<I", 1)  # tag, format version
 
 
-def write_descriptors(items: Sequence[Tuple[Keypoint, Descriptor]], path) -> None:
-    """One record per item: x, y, sigma, orientation, then the descriptor
-    values, all ``<f4``."""
-    dim = len(items[0][1].values) if items else DESCRIPTOR_SIZE
-    records = np.empty((len(items), 4 + dim), dtype="<f4")
-    records[:, :4] = _columns([kp for kp, _ in items]).T
-    records[:, 4:] = np.array([desc.values for _, desc in items]).reshape(len(items), dim)
-    write_atomic(path, [_DESC_HEADER, struct.pack("<II", len(items), dim), records.tobytes()])
+def write_descriptors(features: Tuple[np.ndarray, np.ndarray], path) -> None:
+    """One record per keypoint of ``(keypoints (n, 4), values (n, dim))``:
+    x, y, sigma, orientation, then the descriptor values, all ``<f4``."""
+    keypoints, values = features
+    records = np.empty((len(values), 4 + values.shape[1]), dtype="<f4")
+    records[:, :4] = keypoints
+    records[:, 4:] = values
+    write_atomic(path, [_DESC_HEADER, struct.pack("<II", *values.shape), records.tobytes()])
 
 
 def read_descriptors(path) -> Tuple[np.ndarray, np.ndarray]:
@@ -704,12 +663,6 @@ def read_descriptors(path) -> Tuple[np.ndarray, np.ndarray]:
     count, dim = r.unpack("<II")
     records = r.array("<f4", count * (4 + dim)).reshape(count, 4 + dim).astype(np.float64)
     r.end()
+    if not np.isfinite(records).all():
+        raise ValueError(f"{path}: non-finite value in descriptor file")
     return records[:, :4], records[:, 4:]
-
-
-def write_descriptors_csv(items: Sequence[Tuple[Keypoint, Descriptor]], path) -> None:
-    lines = ["x,y,sigma,orientation," + ",".join(f"d{i}" for i in range(len(items[0][1].values)))] if items else ["x,y,sigma,orientation"]
-    for kp, desc in items:
-        head = f"{kp.x:.6f},{kp.y:.6f},{kp.sigma:.6f},{kp.orientation:.6f}"
-        lines.append(head + "," + ",".join(f"{v:.9g}" for v in desc.values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

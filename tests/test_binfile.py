@@ -17,7 +17,7 @@ from placevision.classify import (
     ova_train,
 )
 from placevision.modelio import ClassifierModel, load_model, save_model
-from placevision.sift import Descriptor, Keypoint, read_descriptors, write_descriptors
+from placevision.sift import read_descriptors, write_descriptors
 
 LOADERS = {
     "vocab.bin": read_vocabulary,
@@ -41,6 +41,12 @@ def _nn_model():
                            thresholds=ThresholdSet({"a": 0.25, "b": 0.5}))
 
 
+def _random_features(rng, count, dim):
+    """(keypoints (count, 4), values (count, dim)), drawn keypoint by keypoint."""
+    rows = [(rng.random(4), rng.random(dim)) for _ in range(count)]
+    return np.array([kp for kp, _ in rows]), np.array([v for _, v in rows])
+
+
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
     """Bytes of one small valid file per binary format."""
@@ -51,11 +57,7 @@ def valid(tmp_path_factory):
     svm = ova_train(x, ["down"] * 4 + ["up"] * 4, KernelSpec("rbf", sigma=0.9), c=4.0)
     save_model(ClassifierModel("svm", "rgb:8:jeffrey:1", svm.labels, svm=svm), d / "svm.bin")
     save_model(_nn_model(), d / "nn.bin")
-    items = []
-    for _ in range(3):
-        kp = Keypoint(*rng.random(4), octave=0, layer=1)
-        items.append((kp, Descriptor(rng.random(8), kp)))
-    write_descriptors(items, d / "kp.desc")
+    write_descriptors(_random_features(rng, 3, 8), d / "kp.desc")
     return {name: (d / name).read_bytes() for name in LOADERS}
 
 
@@ -83,18 +85,25 @@ def test_trailing_bytes_are_value_error_naming_the_file(tmp_path, valid, name):
 
 @pytest.mark.parametrize("field, value", [(12, 2), (8, 64)])  # dim 128 -> 2, count 65 -> 64
 def test_descriptor_file_with_corrupt_count_or_dim_is_value_error(tmp_path, field, value):
-    rng = np.random.default_rng(5)
-    items = []
-    for _ in range(65):
-        kp = Keypoint(*rng.random(4), octave=0, layer=1)
-        items.append((kp, Descriptor(rng.random(128), kp)))
     path = tmp_path / "gallery.desc"
-    write_descriptors(items, path)
+    write_descriptors(_random_features(np.random.default_rng(5), 65, 128), path)
     data = bytearray(path.read_bytes())
     data[field : field + 4] = struct.pack("<I", value)
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="trailing bytes in descriptor file"):
         read_descriptors(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [0, 1])  # a keypoint field, a descriptor value
+def test_non_finite_descriptor_value_is_value_error_naming_the_file(tmp_path, value, part):
+    features = _random_features(np.random.default_rng(6), 3, 8)
+    features[part][1, 2] = value
+    path = tmp_path / "kp.desc"
+    write_descriptors(features, path)
+    with pytest.raises(ValueError, match="non-finite value in descriptor file") as exc:
+        read_descriptors(path)
+    assert str(path) in str(exc.value)
 
 
 @given(

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from placevision import bovw
 from placevision.bovw import (
     DEFAULT_K,
     BowVector,
@@ -13,7 +14,6 @@ from placevision.bovw import (
     quantize,
     read_vocabulary,
     write_vocabulary,
-    write_vocabulary_csv,
 )
 from placevision.distances import pairwise_distances, parse_measure, sq_euclidean_gram
 
@@ -63,6 +63,21 @@ def test_kmeans_with_k_equal_to_distinct_points():
 def test_kmeans_requires_enough_distinct_points():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
+        kmeans(pts, k=3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_distinct_row_count_matches_unique_rows(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-1, 2, (rng.integers(1, 60), 3)).astype(float)  # many repeated rows
+    x[rng.random(x.shape) < 0.3] *= -1.0  # turns some zeros into -0.0
+    assert bovw._count_distinct_rows(x) == np.unique(x, axis=0).shape[0]
+
+
+def test_signed_zeros_are_one_distinct_row():
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 2.0]])
+    assert np.unique(pts, axis=0).shape[0] == 2
+    with pytest.raises(ValueError, match="need at least k=3 distinct descriptors, have 2"):
         kmeans(pts, k=3)
 
 
@@ -322,8 +337,6 @@ def test_vocabulary_file_round_trip(tmp_path):
     # identical content gives identical bytes
     write_vocabulary(vocab, tmp_path / "vocab2.bin")
     assert (tmp_path / "vocab.bin").read_bytes() == (tmp_path / "vocab2.bin").read_bytes()
-    write_vocabulary_csv(vocab, tmp_path / "vocab.csv")
-    assert (tmp_path / "vocab.csv").read_text().startswith("# k=5 dim=16")
 
 
 def test_vocabulary_file_rejects_garbage(tmp_path):

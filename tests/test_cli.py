@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from placevision import pipeline, synth
 from placevision.cli import main
 from placevision.image import Image, load_pnm, write_pnm
 from placevision.pipeline import artifact_stem, parse_config_text, read_manifest
@@ -393,3 +394,72 @@ def test_vocab_log_reports_lloyd_iterations_and_cost(dataset, trained, tmp_path,
     assert re.fullmatch(
         r"vocabulary: 12 words over \d+ descriptors, \d+ Lloyd iterations, "
         r"final cost \S+ in \d+\.\ds", line[0]), line[0]
+
+
+def test_descriptor_file_with_non_finite_value_is_data_error(dataset, trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = sorted((out / "features").glob("*.desc"))[0]
+    data = bytearray(path.read_bytes())
+    data[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # the last descriptor value
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    rc = run_stage(["encode", "--manifest", dataset / "manifest.tsv",
+                    "--config", dataset / "pipeline.cfg", "--out", out])
+    assert rc == 2
+    assert f"{path}: non-finite value in descriptor file" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so no worker is ever started."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, sequences, workers", [
+    (8, "1", [6]),  # 6 rows: 6 workers, not 8
+    (2, "1,2,3", [2]),
+    (1, "1,2,3", []),
+])
+def test_features_start_at_most_one_worker_per_row(dataset, tmp_path, monkeypatch, jobs,
+                                                   sequences, workers):
+    started = []
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(started, max_workers))
+    assert run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config",
+                      dataset / "pipeline.cfg", "--out", tmp_path / "out", "--jobs", jobs,
+                      "--sequences", sequences]) == 0
+    assert started == workers
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_is_usage_error(dataset, tmp_path, monkeypatch, capsys, jobs):
+    started = []
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(started, max_workers))
+    rc = run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config",
+                    dataset / "pipeline.cfg", "--out", tmp_path / "out", "--jobs", jobs])
+    assert rc == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert started == [] and not (tmp_path / "out").exists()
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    write_pnm(synth.render_room_image(0, 1, 0, size=320), tmp_path / "room.ppm")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip() == "0.0"  # a histogram's distance to itself

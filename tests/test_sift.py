@@ -11,7 +11,6 @@ from placevision.image import GrayImage, Image, gaussian_blur
 from placevision.sift import (
     DESCRIPTOR_CLAMP,
     DoGPyramid,
-    Keypoint,
     SiftParams,
     assign_orientations,
     build_dog,
@@ -20,12 +19,16 @@ from placevision.sift import (
     detect_extrema,
     extract_rgb_sift,
     extract_sift,
-    finalize_descriptor,
     read_descriptors,
     refine_keypoint,
     write_descriptors,
-    write_descriptors_csv,
 )
+
+
+def keyed(features):
+    """Descriptor values by keypoint position and orientation."""
+    keypoints, values = features
+    return {(round(x, 3), round(y, 3), round(o, 4)): v for (x, y, _, o), v in zip(keypoints.tolist(), values)}
 
 
 def render_blob(size: int, cx: float, cy: float, sigma_b: float, amp: float = 0.55) -> GrayImage:
@@ -61,7 +64,8 @@ def test_constant_image_gives_zero_dog_and_no_features():
     dog = build_dog(build_scale_space(g, 3))
     for stack in dog.octaves:
         assert np.abs(stack).max() < 1e-12
-    assert extract_sift(g, SiftParams(octaves=3)) == []
+    keypoints, values = extract_sift(g, SiftParams(octaves=3))
+    assert keypoints.shape == (0, 4) and values.shape == (0, 128)
 
 
 def test_dog_matches_scale_normalized_laplacian_on_blob():
@@ -87,15 +91,15 @@ def test_dog_matches_scale_normalized_laplacian_on_blob():
 
 def test_flat_and_plateau_dog_give_no_candidates():
     g = GrayImage(np.full((48, 48), 0.3))
-    assert detect_extrema(build_dog(build_scale_space(g, 2))) == []
+    assert detect_extrema(build_dog(build_scale_space(g, 2))).shape == (0, 4)
     # hand-built stack: a 3x3 plateau of equal maxima must yield nothing
     # under the strict comparison, while a lone spike is kept
     stack = np.zeros((3, 16, 16))
     stack[1, 6:9, 6:9] = 1.0
-    assert detect_extrema(DoGPyramid([stack.copy()], 1.6, 2)) == []
+    assert detect_extrema(DoGPyramid([stack.copy()], 1.6, 2)).shape == (0, 4)
     spike = np.zeros((3, 16, 16))
     spike[1, 7, 7] = 1.0
-    assert detect_extrema(DoGPyramid([spike], 1.6, 2)) == [(0, 1, 7, 7)]
+    assert detect_extrema(DoGPyramid([spike], 1.6, 2)).tolist() == [[0, 1, 7, 7]]
 
 
 def test_single_blob_detected_at_predicted_location_and_scale():
@@ -107,7 +111,8 @@ def test_single_blob_detected_at_predicted_location_and_scale():
     ss = build_scale_space(blob, 3)
     dog = build_dog(ss)
     cands = detect_extrema(dog)
-    assert cands, "blob produced no extrema"
+    assert len(cands), "blob produced no extrema"
+    assert cands.tolist() == sorted(cands.tolist())
 
     # predicted layer: strongest center response over the pyramid layers
     def center_response(o, l):
@@ -162,11 +167,11 @@ def test_strong_blob_subpixel_accuracy():
     blob = render_blob(96, cx, cy, 4.0)
     ss = build_scale_space(blob, 3)
     dog = build_dog(ss)
-    kps = [kp for c in detect_extrema(dog) if (kp := refine_keypoint(c, dog))]
+    kps = [r[0] for c in detect_extrema(dog) if (r := refine_keypoint(c, dog))]
     assert kps
-    best = min(kps, key=lambda k: (k.x - cx) ** 2 + (k.y - cy) ** 2)
-    assert math.hypot(best.x - cx, best.y - cy) < 0.5
-    assert best.sigma > 0
+    best = min(kps, key=lambda k: (k[0] - cx) ** 2 + (k[1] - cy) ** 2)
+    assert math.hypot(best[0] - cx, best[1] - cy) < 0.5
+    assert best[2] > 0
 
 
 def test_batched_refinement_rejects_only_the_singular_candidate():
@@ -183,8 +188,9 @@ def test_batched_refinement_rejects_only_the_singular_candidate():
     assert refine_keypoint((0, *flat), dog) is None
     alone = refine_keypoint((0, *peak), dog)
     assert alone is not None
+    kp, alone_layer = alone
     assert (x.tolist(), y.tolist(), sigma.tolist(), layer.tolist()) == (
-        [alone.x], [alone.y], [alone.sigma], [alone.layer]
+        [kp[0]], [kp[1]], [kp[2]], [alone_layer]
     )
 
 
@@ -203,10 +209,10 @@ def _ramp_image(angle_deg: float, size: int = 64) -> GrayImage:
 @pytest.mark.parametrize("angle", [0.0, 30.0, 90.0, 215.0])
 def test_ramp_orientation_matches_gradient_direction(angle):
     ss = build_scale_space(_ramp_image(angle), 2)
-    kp = Keypoint(32.0, 32.0, 1.6 * 2**0.25, 0.0, octave=0, layer=1)
-    oriented = assign_orientations(kp, ss)
+    kp = np.array([32.0, 32.0, 1.6 * 2**0.25, 0.0])
+    oriented = assign_orientations(kp, ss, octave=0, layer=1)
     assert len(oriented) == 1
-    got = math.degrees(oriented[0].orientation) % 360.0
+    got = math.degrees(oriented[0, 3]) % 360.0
     err = min(abs(got - angle), 360 - abs(got - angle))
     assert err < 5.0
 
@@ -218,10 +224,10 @@ def test_two_equal_gradient_populations_give_two_keypoints():
     ys, xs = np.mgrid[0:size, 0:size]
     img = GrayImage(np.minimum(xs, ys) / (size - 1) * 0.6)
     ss = build_scale_space(img, 2)
-    kp = Keypoint(48.0, 48.0, 4.8, 0.0, octave=0, layer=1)
-    oriented = assign_orientations(kp, ss)
+    kp = np.array([48.0, 48.0, 4.8, 0.0])
+    oriented = assign_orientations(kp, ss, octave=0, layer=1)
     assert len(oriented) == 2
-    angles = sorted(math.degrees(o.orientation) % 360 for o in oriented)
+    angles = sorted(math.degrees(a) % 360 for a in oriented[:, 3])
     assert angles[0] == pytest.approx(0.0, abs=6.0) or angles[0] > 354.0
     assert angles[1] == pytest.approx(90.0, abs=6.0)
 
@@ -230,20 +236,20 @@ def test_rotating_input_rotates_orientations(texture):
     # rot90(A)[y, x] = A[x, W-1-y]: gradients map (gx, gy) -> (gy, -gx),
     # so every assigned orientation shifts by -90 degrees
     rot = GrayImage(np.rot90(texture.intensities, 1).copy())
-    f1 = extract_sift(texture)
-    f2 = extract_sift(rot)
+    k1, _ = extract_sift(texture)
+    k2, _ = extract_sift(rot)
     w = texture.width
     by_pos = {}
-    for k, _ in f2:
-        by_pos.setdefault((round(k.x, 1), round(k.y, 1)), []).append(k.orientation)
+    for x, y, _, ori in k2.tolist():
+        by_pos.setdefault((round(x, 1), round(y, 1)), []).append(ori)
     matched = consistent = 0
-    for kp, _ in f1:
-        angles = by_pos.get((round(kp.y, 1), round(w - 1 - kp.x, 1)))
+    for x, y, _, ori in k1.tolist():
+        angles = by_pos.get((round(y, 1), round(w - 1 - x, 1)))
         if not angles:
             continue
         matched += 1
         for a in angles:
-            got = math.degrees(a - kp.orientation) % 360.0
+            got = math.degrees(a - ori) % 360.0
             if min(abs(got - 270.0), abs(got + 90.0), abs(got - 630.0)) < 5.0:
                 consistent += 1
                 break
@@ -256,21 +262,21 @@ def test_rotating_input_rotates_orientations(texture):
 # ---------------------------------------------------------------------------
 
 def test_descriptor_length_and_norm(texture):
-    feats = extract_sift(texture)
-    assert feats
-    for kp, desc in feats[:50]:
-        assert len(desc.values) == 128
-        assert np.linalg.norm(desc.values) == pytest.approx(1.0, abs=1e-6)
-        assert 0.0 <= kp.x <= texture.width - 1
-        assert 0.0 <= kp.y <= texture.height - 1
-        assert kp.sigma > 0
-        assert 0.0 <= kp.orientation < 2 * math.pi
+    keypoints, values = extract_sift(texture)
+    assert len(keypoints)
+    for (x, y, sigma, ori), v in zip(keypoints[:50], values[:50]):
+        assert len(v) == 128
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
+        assert 0.0 <= x <= texture.width - 1
+        assert 0.0 <= y <= texture.height - 1
+        assert sigma > 0
+        assert 0.0 <= ori < 2 * math.pi
 
 
 def test_descriptor_clamp_applied_before_renormalization():
     rng = np.random.default_rng(3)
     raw = rng.random(128) * np.array([50.0] + [1.0] * 127)
-    out = finalize_descriptor(raw)
+    out = sift._normalize_rows(raw[None, :])[0][0]
     v1 = raw / np.linalg.norm(raw)
     clamped = np.minimum(v1, DESCRIPTOR_CLAMP)
     assert clamped.max() <= DESCRIPTOR_CLAMP + 1e-6
@@ -280,8 +286,8 @@ def test_descriptor_clamp_applied_before_renormalization():
 
 def test_contrast_scaling_leaves_descriptors_unchanged(texture):
     half = GrayImage(texture.intensities * 0.5)
-    base = {(round(k.x, 3), round(k.y, 3), round(k.orientation, 4)): d.values for k, d in extract_sift(texture)}
-    got = {(round(k.x, 3), round(k.y, 3), round(k.orientation, 4)): d.values for k, d in extract_sift(half)}
+    base = keyed(extract_sift(texture))
+    got = keyed(extract_sift(half))
     common = set(base) & set(got)
     assert len(common) > 100
     worst = max(np.linalg.norm(base[c] - got[c]) for c in common)
@@ -290,8 +296,8 @@ def test_contrast_scaling_leaves_descriptors_unchanged(texture):
 
 def test_brightness_shift_leaves_descriptors_unchanged(texture):
     shifted = GrayImage(np.clip(texture.intensities + 0.2, 0.0, 1.0))
-    base = {(round(k.x, 3), round(k.y, 3), round(k.orientation, 4)): d.values for k, d in extract_sift(texture)}
-    got = {(round(k.x, 3), round(k.y, 3), round(k.orientation, 4)): d.values for k, d in extract_sift(shifted)}
+    base = keyed(extract_sift(texture))
+    got = keyed(extract_sift(shifted))
     common = set(base) & set(got)
     assert len(common) > 100
     worst = max(np.linalg.norm(base[c] - got[c]) for c in common)
@@ -300,8 +306,8 @@ def test_brightness_shift_leaves_descriptors_unchanged(texture):
 
 def test_descriptor_window_leaving_image_drops_keypoint(texture):
     ss = build_scale_space(texture, 2)
-    edge_kp = Keypoint(2.0, 2.0, 8.0, 0.0, octave=0, layer=1)
-    assert compute_descriptor(edge_kp, ss) is None
+    edge_kp = np.array([2.0, 2.0, 8.0, 0.0])
+    assert compute_descriptor(edge_kp, ss, octave=0, layer=1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -309,34 +315,43 @@ def test_descriptor_window_leaving_image_drops_keypoint(texture):
 # ---------------------------------------------------------------------------
 
 def test_extract_is_deterministic(small_texture):
-    a = extract_sift(small_texture)
-    b = extract_sift(small_texture)
-    assert len(a) == len(b)
-    for (ka, da), (kb, db) in zip(a, b):
-        assert ka == kb
-        assert np.array_equal(da.values, db.values)
+    ka, va = extract_sift(small_texture)
+    kb, vb = extract_sift(small_texture)
+    assert np.array_equal(ka, kb)
+    assert np.array_equal(va, vb)
 
 
 def test_extraction_order_is_sorted(small_texture):
-    feats = extract_sift(small_texture)
-    keys = [kp.sort_key() for kp, _ in feats]
+    keypoints, _, level = sift._sift_features(small_texture, SiftParams())
+    keys = list(zip(level[:, 0].tolist(), level[:, 1].tolist(), keypoints[:, 1].tolist(),
+                    keypoints[:, 0].tolist(), keypoints[:, 3].tolist()))
     assert keys == sorted(keys)
+
+
+def test_no_two_keypoints_share_a_duplicate_key(small_texture):
+    # refinement converges some candidates onto the same point; without the
+    # duplicate rule this image repeats 2 of its 150 keys
+    _, keypoints, level = sift._detect_oriented_keypoints(small_texture, SiftParams())
+    keys = [
+        (o, round(x, 3), round(y, 3), round(s, 4), round(a, 5))
+        for o, (x, y, s, a) in zip(level[:, 0].tolist(), keypoints.tolist())
+    ]
+    assert len(keys) == len(set(keys))
 
 
 def test_500px_texture_keypoint_count_order_of_magnitude():
     from tests.conftest import blob_texture
 
     tex = blob_texture(seed=3, size=500)
-    n = len(extract_sift(tex))
+    n = len(extract_sift(tex)[0])
     assert 300 <= n <= 30000
 
 
 def test_rgb_sift_dimensions_and_gray_blocks(texture):
     gray_rgb = Image(np.repeat(texture.intensities[:, :, None], 3, axis=2))
-    feats = extract_rgb_sift(gray_rgb)
-    assert feats
-    for kp, desc in feats[:20]:
-        v = desc.values
+    _, values = extract_rgb_sift(gray_rgb)
+    assert len(values)
+    for v in values[:20]:
         assert len(v) == 384
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(v[:128], v[128:256], atol=1e-9)
@@ -350,8 +365,8 @@ def test_rgb_sift_channel_scaling_changes_only_that_block(texture):
     base = np.repeat(texture.intensities[:, :, None], 3, axis=2)
     img1 = Image(base)
     img2 = Image(base * np.array([1.0, 0.5, 1.0])[None, None, :])
-    f1 = {(round(k.x, 3), round(k.y, 3), round(k.orientation, 4)): d.values for k, d in extract_rgb_sift(img1)}
-    f2 = {(round(k.x, 3), round(k.y, 3), round(k.orientation, 4)): d.values for k, d in extract_rgb_sift(img2)}
+    f1 = keyed(extract_rgb_sift(img1))
+    f2 = keyed(extract_rgb_sift(img2))
     common = set(f1) & set(f2)
     assert len(common) > 20
     for c in list(common)[:50]:
@@ -366,10 +381,10 @@ def test_chunk_budget_does_not_change_features(name, request, monkeypatch):
     default = [extract_sift(gray), extract_rgb_sift(rgb)]
     monkeypatch.setattr(sift, "_CHUNK_BYTES", 1)  # every chunk holds one keypoint
     single = [extract_sift(gray), extract_rgb_sift(rgb)]
-    for got, want in zip(single, default):
-        assert want
-        assert [kp for kp, _ in got] == [kp for kp, _ in want]
-        assert all(np.array_equal(d.values, e.values) for (_, d), (_, e) in zip(got, want))
+    for (got_kp, got_values), (want_kp, want_values) in zip(single, default):
+        assert len(want_kp)
+        assert np.array_equal(got_kp, want_kp)
+        assert np.array_equal(got_values, want_values)
 
 
 def test_extraction_peak_memory_is_bounded():
@@ -391,19 +406,15 @@ def test_extraction_peak_memory_is_bounded():
 # ---------------------------------------------------------------------------
 
 def test_descriptor_file_round_trip(tmp_path, small_texture):
-    feats = extract_sift(small_texture)[:17]
+    ka, va = (a[:17] for a in extract_sift(small_texture))
     path = tmp_path / "kp.desc"
-    write_descriptors(feats, path)
+    write_descriptors((ka, va), path)
     keypoints, values = read_descriptors(path)
     assert keypoints.shape == (17, 4) and values.shape == (17, 128)
-    for (ka, da), (x, _, sigma, _), vb in zip(feats, keypoints, values):
-        assert x == pytest.approx(ka.x, abs=1e-4)
-        assert sigma == pytest.approx(ka.sigma, rel=1e-6)
-        assert np.abs(da.values - vb).max() < 1e-6
-    write_descriptors_csv(feats, tmp_path / "kp.csv")
-    lines = (tmp_path / "kp.csv").read_text().splitlines()
-    assert lines[0].startswith("x,y,sigma,orientation,d0")
-    assert len(lines) == 18
+    for (xa, _, sigma_a, _), da, (x, _, sigma, _), vb in zip(ka, va, keypoints, values):
+        assert x == pytest.approx(xa, abs=1e-4)
+        assert sigma == pytest.approx(sigma_a, rel=1e-6)
+        assert np.abs(da - vb).max() < 1e-6
 
 
 def test_descriptor_file_rejects_garbage(tmp_path):
@@ -417,12 +428,11 @@ def test_descriptor_file_rejects_garbage(tmp_path):
 @settings(max_examples=200, deadline=None)
 def test_truncated_descriptor_file_is_value_error(tmp_path_factory, count, dim, cut):
     rng = np.random.default_rng(count * 1000 + dim)
-    items = []
-    for _ in range(count):
-        kp = Keypoint(*rng.random(4), octave=0, layer=1)
-        items.append((kp, sift.Descriptor(rng.random(dim), kp)))
+    rows = [(rng.random(4), rng.random(dim)) for _ in range(count)]
+    keypoints = np.array([kp for kp, _ in rows]).reshape(count, 4)
+    values = np.array([v for _, v in rows]).reshape(count, dim)
     path = tmp_path_factory.mktemp("desc") / "kp.desc"
-    write_descriptors(items, path)
+    write_descriptors((keypoints, values), path)
     data = path.read_bytes()
     path.write_bytes(data[: int(cut * len(data))])
     with pytest.raises(ValueError):
