@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .image import GrayImage, gaussian_kernel1d, _convolve_axis
-from .sift import DESCRIPTOR_SIZE, SiftParams, _output_order, _sift_features
+from .sift import DESCRIPTOR_SIZE, SiftParams, _check_pyramid, _holds_octaves, _output_order, _sift_features
 
 DEFAULT_TILTS = (1.0, math.sqrt(2.0), 2.0, 2.0 * math.sqrt(2.0), 4.0)
 DEFAULT_PHI_STEP = 72.0
@@ -133,11 +133,12 @@ def extract_asift(
     kps, values = [np.empty((0, 4))], [np.empty((0, DESCRIPTOR_SIZE))]
     levels = [np.empty((0, 2), dtype=np.intp)]
     w, h = img.width, img.height
+    # the input itself must hold the pyramid, as for extract_sift
+    _check_pyramid(img, params.octaves, params.scales_per_octave, params.sigma0)
     for view in asift_views(img, tilt_levels, phi_step_deg):
-        try:
-            kp, v, level = _sift_features(view.image, params)
-        except ValueError:
+        if not _holds_octaves(view.image, params.octaves):
             continue  # strongly compressed views can be too small to pyramid
+        kp, v, level = _sift_features(view.image, params)
         inv = view.inverse
         x = inv[0, 0] * kp[:, 0] + inv[0, 1] * kp[:, 1] + inv[0, 2]
         y = inv[1, 0] * kp[:, 0] + inv[1, 1] * kp[:, 1] + inv[1, 2]

@@ -114,9 +114,13 @@ def cumulative(h: FeatureHistogram) -> FeatureHistogram:
 # ---------------------------------------------------------------------------
 
 def write_histogram_csv(h: FeatureHistogram, path) -> None:
-    lines = [f"axes={h.binning},normalized={1 if h.normalized else 0}"]
-    lines.extend(f"{v:.17g}" for v in h.bins)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # most bins are zero, and the 17-digit text of a zero is "0" or "-0":
+    # only the non-zero bins need formatting
+    lines = np.where(np.signbit(h.bins), "-0", "0").astype(object)
+    nonzero = np.flatnonzero(h.bins)
+    lines[nonzero] = [f"{v:.17g}" for v in h.bins[nonzero].tolist()]
+    header = f"axes={h.binning},normalized={1 if h.normalized else 0}"
+    Path(path).write_text("\n".join([header, *lines.tolist()]) + "\n", encoding="utf-8")
 
 
 def read_histogram_csv(path) -> FeatureHistogram:

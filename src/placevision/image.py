@@ -240,15 +240,15 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
 
 def _convolve_axis(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     radius = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(a, pad, mode="edge")  # clamp-to-border replication
-    out = np.zeros_like(a)
-    for t, w in enumerate(kernel):
-        if axis == 0:
-            out += w * padded[t : t + a.shape[0], :]
-        else:
-            out += w * padded[:, t : t + a.shape[1]]
+    n = a.shape[axis]
+    # clamp-to-border replication
+    padded = np.take(a, np.clip(np.arange(-radius, n + radius), 0, n - 1), axis=axis)
+    taps = [padded[t : t + n] if axis == 0 else padded[:, t : t + n] for t in range(len(kernel))]
+    # tap by tap from the first, the same sums as from zero
+    out = kernel[0] * taps[0]
+    term = np.empty_like(out)
+    for w, tap in zip(kernel[1:], taps[1:]):
+        out += np.multiply(tap, w, out=term)
     return out
 
 

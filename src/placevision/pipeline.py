@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ import numpy as np
 from . import bovw as bovw_mod
 from .asift import extract_asift
 from .classify import (
+    UNKNOWN,
     CompositeFeature,
     CompositePart,
     GaParams,
@@ -204,6 +206,28 @@ def _checked_measure(kv: Dict[str, str], key: str, default: str) -> str:
     return measure
 
 
+# sift.* key: default, type and the condition its value must meet
+_SIFT_KEYS = {
+    "sift.octaves": ("4", int, "an integer >= 1", lambda v: v >= 1),
+    "sift.scales_per_octave": ("2", int, "an integer >= 1", lambda v: v >= 1),
+    "sift.sigma0": ("1.6", float, "a finite number > 0", lambda v: 0 < v < math.inf),
+    "sift.contrast_threshold": ("0.03", float, "a finite number >= 0", lambda v: 0 <= v < math.inf),
+    "sift.edge_ratio": ("10", float, "a finite number >= 1", lambda v: 1 <= v < math.inf),
+    "sift.orientation_sigma_factor": ("1.5", float, "a finite number > 0", lambda v: 0 < v < math.inf),
+}
+
+
+def _checked_sift(kv: Dict[str, str], key: str, default: str, kind, rule: str, holds):
+    text = kv.get(key, default)
+    try:
+        value = kind(text)
+        if holds(value):
+            return value
+    except ValueError:
+        pass
+    raise DataError(f"{key} must be {rule}, got {text!r}")
+
+
 def parse_config_text(text: str) -> PipelineConfig:
     kv: Dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -252,14 +276,7 @@ def parse_config_text(text: str) -> PipelineConfig:
                 )
             )
 
-    sift = SiftParams(
-        octaves=int(kv.get("sift.octaves", "4")),
-        scales_per_octave=int(kv.get("sift.scales_per_octave", "2")),
-        sigma0=float(kv.get("sift.sigma0", "1.6")),
-        contrast_threshold=float(kv.get("sift.contrast_threshold", "0.03")),
-        edge_ratio=float(kv.get("sift.edge_ratio", "10")),
-        orientation_sigma_factor=float(kv.get("sift.orientation_sigma_factor", "1.5")),
-    )
+    sift = SiftParams(**{key[len("sift."):]: _checked_sift(kv, key, *spec) for key, spec in _SIFT_KEYS.items()})
     seed = int(kv.get("seed", "7"))
     sigma_text = kv.get("classifier.rbf_sigma", "auto")
     ga = GaParams(
@@ -601,9 +618,19 @@ def run_predict(
         dists, gallery_labels = nn_distances([f for _, f in labeled], model.gallery)
         predicted, nearest = nn_decide(dists, gallery_labels, model.thresholds)
         confidence = -nearest
-    rows = [[row.path, label, f"{score:.10g}"] for (row, _), label, score in zip(labeled, predicted, confidence)]
+    answers = {row.path: (label, score) for (row, _), label, score in zip(labeled, predicted, confidence)}
+    # an extracted image that lacks a part (one without descriptors has no
+    # bovw histogram) was warned about above; it is answered UNKNOWN with the
+    # file's lowest score.  An image that failed extraction gets no row.
+    feat_dir = Path(out_dir) / "features"
+    fallback = (UNKNOWN, np.min(confidence))
+    rows = []
+    for row in manifest.rows:
+        if row.path in answers or (feat_dir / f"{artifact_stem(row.path)}.hash").exists():
+            label, score = answers.get(row.path, fallback)
+            rows.append([row.path, label, f"{score:.10g}"])
     path = write_csv(Path(out_dir) / "predictions.csv", [["path", "predicted", "score"], *rows])
-    log(f"predictions: {len(labeled)} rows -> {path}")
+    log(f"predictions: {len(rows)} rows, {len(rows) - len(labeled)} of them UNKNOWN for lack of features -> {path}")
     return path
 
 

@@ -19,6 +19,24 @@ temporary array stays within ``_CHUNK_BYTES``.  ``refine_keypoint``,
 ``assign_orientations`` and ``compute_descriptor`` are one-keypoint
 calls into the same kernels; extraction does not use them.
 
+Extraction skips work whose result it would throw away, and its output
+is the same as without the shortcuts:
+
+- It builds, differences and searches only the leading octaves whose
+  plane can hold the smallest descriptor window.  A keypoint's scale
+  within its octave is never below ``sigma0``, so no keypoint of a
+  skipped octave could have kept its descriptor, and the octaves that
+  are built do not depend on the ones after them.  The image must still
+  be large enough for the configured number of octaves.
+- Right after refinement it drops the keypoints whose descriptor window
+  leaves the plane, by the same test the descriptor applies, so only
+  describable keypoints get orientations.  Window, orientation and
+  descriptor of one keypoint do not depend on the others.  The one
+  interaction is the duplicate rule: among keypoints with the same
+  rounded key the first in output order stays, and a dropped keypoint
+  could have shadowed a describable one.  So an outside keypoint whose
+  rounded (x, y, sigma) matches an inside one of its octave is kept.
+
 Coordinates: x is the column, y is the row, both in the base-image
 frame; ``sigma`` is the absolute scale in that frame; orientation is in
 radians in [0, 2*pi).
@@ -106,6 +124,24 @@ class DoGPyramid:
 # pyramid construction
 # ---------------------------------------------------------------------------
 
+def _holds_octaves(img: GrayImage, octaves: int) -> bool:
+    """Whether the smallest plane of an ``octaves``-deep pyramid (octaves >= 1)
+    keeps MIN_OCTAVE_DIM pixels a side."""
+    return min(img.width, img.height) // (2 ** (octaves - 1)) >= MIN_OCTAVE_DIM
+
+
+def _check_pyramid(img: GrayImage, octaves: int, scales_per_octave: int, sigma0: float) -> None:
+    """Raise ValueError unless the pyramid parameters suit the image."""
+    if octaves < 1 or scales_per_octave < 1:
+        raise ValueError("octaves and scales_per_octave must be >= 1")
+    if sigma0 <= 0:
+        raise ValueError("sigma0 must be positive")
+    if not _holds_octaves(img, octaves):
+        raise ValueError(
+            f"image {img.width}x{img.height} too small for {octaves} octaves"
+        )
+
+
 def build_scale_space(
     img: GrayImage, octaves: int = 4, scales_per_octave: int = 2, sigma0: float = 1.6
 ) -> ScaleSpace:
@@ -114,14 +150,7 @@ def build_scale_space(
     The base image is used at native resolution and treated as unblurred;
     the next octave is seeded by decimating the level at 2*sigma0.
     """
-    if octaves < 1 or scales_per_octave < 1:
-        raise ValueError("octaves and scales_per_octave must be >= 1")
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    if min(img.width, img.height) // (2 ** (octaves - 1)) < MIN_OCTAVE_DIM:
-        raise ValueError(
-            f"image {img.width}x{img.height} too small for {octaves} octaves"
-        )
+    _check_pyramid(img, octaves, scales_per_octave, sigma0)
     k = 2.0 ** (1.0 / scales_per_octave)
     levels = scales_per_octave + 3
     pyramid: List[List[GrayImage]] = []
@@ -152,12 +181,31 @@ def build_dog(ss: ScaleSpace) -> DoGPyramid:
 # extrema detection and refinement
 # ---------------------------------------------------------------------------
 
+def _run3(a: np.ndarray, reduce, axis: int) -> np.ndarray:
+    """``reduce`` over each run of 3 pixels along axis 0 or 1 of a plane."""
+    if axis == 1:
+        return reduce(reduce(a[:, :-2], a[:, 1:-1]), a[:, 2:])
+    return reduce(reduce(a[:-2], a[1:-1]), a[2:])
+
+
+def _neighbour_bound(slab: np.ndarray, reduce) -> np.ndarray:
+    """Max (``reduce=np.maximum``) or min over the 26 neighbours of each
+    interior pixel of the middle plane of a (3, h, w) slab."""
+    box = _run3(_run3(reduce(slab[0], slab[2]), reduce, 1), reduce, 0)
+    mid = slab[1]
+    rows = _run3(mid, reduce, 1)
+    # the three pixels above and the three below, then left and right
+    ring = reduce(reduce(rows[:-2], rows[2:]), reduce(mid[1:-1, :-2], mid[1:-1, 2:]))
+    return reduce(box, ring)
+
+
 def detect_extrema(dog: DoGPyramid) -> np.ndarray:
     """Strict extrema over the 3x3x3 neighborhood spanning adjacent layers,
     as an (n, 4) intp array of (octave, layer, y, x) rows in sorted order.
 
     Plateaus produce nothing; border pixels and the first/last layer of
-    each octave are excluded.
+    each octave are excluded.  A pixel is compared with the max and the
+    min of its 26 neighbours, which max/min keep exactly.
     """
     out = [np.empty((0, 4), dtype=np.intp)]
     for o, stack in enumerate(dog.octaves):
@@ -166,20 +214,11 @@ def detect_extrema(dog: DoGPyramid) -> np.ndarray:
             continue
         for l in range(1, n_layers - 1):
             center = stack[l, 1 : h - 1, 1 : w - 1]
-            is_max = np.ones(center.shape, dtype=bool)
-            is_min = np.ones(center.shape, dtype=bool)
-            for dl in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        if dl == 0 and dy == 0 and dx == 0:
-                            continue
-                        nb = stack[l + dl, 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-                        is_max &= center > nb
-                        is_min &= center < nb
-                        if not is_max.any() and not is_min.any():
-                            break
+            slab = stack[l - 1 : l + 2]
+            extremum = center > _neighbour_bound(slab, np.maximum)
+            extremum |= center < _neighbour_bound(slab, np.minimum)
             # nonzero walks row-major, so rows come out sorted by (y, x)
-            ys, xs = np.nonzero(is_max | is_min)
+            ys, xs = np.nonzero(extremum)
             out.append(np.column_stack([np.full_like(ys, o), np.full_like(ys, l), ys + 1, xs + 1]))
     return np.concatenate(out)
 
@@ -434,19 +473,23 @@ _TENSOR_SIDE = DESCRIPTOR_CELLS + 2
 _TENSOR_SIZE = _TENSOR_SIDE * _TENSOR_SIDE * DESCRIPTOR_ORI_BINS
 
 
-def _bilinear(arr: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _bilinear(planes, ys: np.ndarray, xs: np.ndarray):
+    """Bilinear samples at (ys, xs) of each of a sequence of same-shape planes."""
     y0 = np.floor(ys).astype(np.intp)
     x0 = np.floor(xs).astype(np.intp)
     fy = ys - y0
     fx = xs - x0
-    y1 = y0 + 1
-    x1 = x0 + 1
-    return (
-        arr[y0, x0] * (1 - fy) * (1 - fx)
-        + arr[y0, x1] * (1 - fy) * fx
-        + arr[y1, x0] * fy * (1 - fx)
-        + arr[y1, x1] * fy * fx
-    )
+    gy = 1 - fy
+    gx = 1 - fx
+    w = planes[0].shape[1]
+    at = y0 * w + x0
+    corners = ((at, gy, gx), (at + 1, gy, fx), (at + w, fy, gx), (at + w + 1, fy, fx))
+    samples = []
+    for plane in planes:
+        flat = plane.ravel()
+        t00, t01, t10, t11 = (flat[i] * a * b for i, a, b in corners)
+        samples.append(t00 + t01 + t10 + t11)
+    return samples
 
 
 def _normalize_rows(raw: np.ndarray):
@@ -471,8 +514,7 @@ def _descriptor_histograms(dx_img, dy_img, cx, cy, spacing, theta) -> np.ndarray
     xs = cx[:, None, None] + su * cos_t - sv * sin_t
     ys = cy[:, None, None] + su * sin_t + sv * cos_t
 
-    gdx = _bilinear(dx_img, ys, xs)
-    gdy = _bilinear(dy_img, ys, xs)
+    gdx, gdy = _bilinear((dx_img, dy_img), ys, xs)
     mag = np.hypot(gdx, gdy)
     rel_angle = (np.arctan2(gdy, gdx) - theta[:, None, None]) % (2.0 * math.pi)
 
@@ -487,39 +529,58 @@ def _descriptor_histograms(dx_img, dy_img, cx, cy, spacing, theta) -> np.ndarray
         )
         / (2.0 * (0.5 * DESCRIPTOR_CELLS) ** 2)
     )
-    shape = (n, _SAMPLES * _SAMPLES)
-    contrib = (mag * gauss).reshape(shape)
-    obin = rel_angle.reshape(shape) / (2.0 * math.pi) * DESCRIPTOR_ORI_BINS
+    contrib = mag * gauss
+    obin = rel_angle / (2.0 * math.pi) * DESCRIPTOR_ORI_BINS
 
-    r = np.broadcast_to(cv, mag.shape).reshape(shape)
-    c = np.broadcast_to(cu, mag.shape).reshape(shape)
-    r0 = np.floor(r).astype(np.intp)
-    c0 = np.floor(c).astype(np.intp)
+    # rows and columns of the cell grid: (n, 16, 1) and (n, 1, 16)
+    r0 = np.floor(cv).astype(np.intp)
+    c0 = np.floor(cu).astype(np.intp)
     o0 = np.floor(obin).astype(np.intp)
-    fr = r - r0
-    fc = c - c0
+    fr = cv - r0
+    fc = cu - c0
     fo = obin - o0
     o0 %= DESCRIPTOR_ORI_BINS
 
-    # one scatter over all keypoints; a bin sums its votes corner-major,
-    # then sample by sample
-    base = np.arange(n)[:, None] * _TENSOR_SIZE
-    index, weight = [], []
-    for dr, wr in ((0, 1 - fr), (1, fr)):
-        for dc, wc in ((0, 1 - fc), (1, fc)):
-            for do, wo in ((0, 1 - fo), (1, fo)):
-                index.append(
-                    base
-                    + ((r0 + 1 + dr) * _TENSOR_SIDE + (c0 + 1 + dc)) * DESCRIPTOR_ORI_BINS
-                    + (o0 + do) % DESCRIPTOR_ORI_BINS
-                )
-                weight.append(contrib * wr * wc * wo)
+    # one scatter over all keypoints of the 8 trilinear corner votes, laid
+    # out (row corner, column corner, orientation corner, n, 16, 16) and
+    # weighted ((contrib * wr) * wc) * wo; a bin sums its votes
+    # corner-major, then sample by sample
+    cell = ((r0 + 1) * _TENSOR_SIDE + c0 + 1) * DESCRIPTOR_ORI_BINS
+    cell += np.arange(n)[:, None, None] * _TENSOR_SIZE
+    corner = (np.arange(2)[:, None] * _TENSOR_SIDE + np.arange(2)) * DESCRIPTOR_ORI_BINS
+    index = corner[:, :, None, None, None, None] + (cell + np.stack([o0, (o0 + 1) % DESCRIPTOR_ORI_BINS]))
+    by_row = contrib * np.stack([1 - fr, fr])
+    weight = (by_row[:, None] * np.stack([1 - fc, fc]))[:, :, None] * np.stack([1 - fo, fo])
     tensor = np.bincount(
-        np.concatenate(index, axis=None),
-        weights=np.concatenate(weight, axis=None),
-        minlength=n * _TENSOR_SIZE,
+        index.ravel(), weights=weight.ravel(), minlength=n * _TENSOR_SIZE
     ).reshape(n, _TENSOR_SIDE, _TENSOR_SIDE, DESCRIPTOR_ORI_BINS)
     return tensor[:, 1:-1, 1:-1, :].reshape(n, DESCRIPTOR_SIZE)
+
+
+def _half_extent(sigma):
+    """Sample spacing and half-extent, in plane pixels, of the descriptor
+    window of plane-frame scale sigma, with one pixel of interpolation
+    margin."""
+    spacing = 3.0 * sigma / 4.0
+    return spacing, spacing * (_SAMPLES - 1) / 2.0 * math.sqrt(2.0) + 1.0
+
+
+def _descriptor_window(x, y, sigma, octave: int, shape):
+    """Plane-frame centres (cx, cy) and sample spacing of the descriptor
+    windows of keypoints of one octave, and the mask of the windows that
+    stay inside a plane of the given (h, w) shape."""
+    scale_factor = 2.0**octave
+    cx = x / scale_factor
+    cy = y / scale_factor
+    spacing, half_extent = _half_extent(sigma / scale_factor)
+    h, w = shape
+    inside = ~(
+        (cx - half_extent < 0)
+        | (cx + half_extent > w - 1)
+        | (cy - half_extent < 0)
+        | (cy + half_extent > h - 1)
+    )
+    return cx, cy, spacing, inside
 
 
 def _raw_descriptors(ss: ScaleSpace, kp: np.ndarray, level: np.ndarray):
@@ -531,19 +592,8 @@ def _raw_descriptors(ss: ScaleSpace, kp: np.ndarray, level: np.ndarray):
     inside = np.zeros(len(kp), dtype=bool)
     for octave, layer in np.unique(level, axis=0).tolist():
         at = np.flatnonzero((level == (octave, layer)).all(axis=1))
-        scale_factor = 2.0**octave
         dx_img, dy_img = ss.gradients(octave, layer)
-        h, w = dx_img.shape
-        cx = kp[at, 0] / scale_factor
-        cy = kp[at, 1] / scale_factor
-        spacing = 3.0 * (kp[at, 2] / scale_factor) / 4.0
-        half_extent = spacing * (_SAMPLES - 1) / 2.0 * math.sqrt(2.0) + 1.0
-        inside[at] = ~(
-            (cx - half_extent < 0)
-            | (cx + half_extent > w - 1)
-            | (cy - half_extent < 0)
-            | (cy + half_extent > h - 1)
-        )
+        cx, cy, spacing, inside[at] = _descriptor_window(*kp[at, :3].T, octave, dx_img.shape)
         idx = np.flatnonzero(inside[at])
         # the largest per-keypoint temporary: 8 corner votes per sample
         for start, stop in _chunks(np.full(len(idx), 8 * _SAMPLES * _SAMPLES * 8)):
@@ -572,17 +622,62 @@ def _output_order(kp: np.ndarray, level: np.ndarray) -> np.ndarray:
     return np.lexsort((kp[:, 3], kp[:, 0], kp[:, 1], level[:, 1], level[:, 0]))
 
 
+# digits of x, y, sigma and orientation in the duplicate key
+_KEY_DIGITS = (3, 3, 4, 5)
+
+
+def _rounded(columns, digits=_KEY_DIGITS):
+    """Rows of rounded column values.  Python's round rounds the exact
+    decimal value, which np.round does not."""
+    return list(zip(*([round(v, d) for v in col] for col, d in zip(columns, digits))))
+
+
+def _descriptor_octaves(gray: GrayImage, params: SiftParams) -> int:
+    """How many leading octaves extraction builds: the configured ones,
+    checked as for the full pyramid, less the trailing octaves whose plane
+    cannot hold a descriptor window.
+
+    A keypoint's scale within its octave is at least sigma0 (refinement
+    clips its layer at 0), so no window is smaller than sigma0's.  A
+    window fits only if twice its half-extent is at most the plane side
+    less one; requiring it to be below the side leaves a pixel of slack.
+    """
+    _check_pyramid(gray, params.octaves, params.scales_per_octave, params.sigma0)
+    smallest = 2 * _half_extent(params.sigma0)[1]
+    side = min(gray.width, gray.height)
+    return max(1, sum(side // 2**o > smallest for o in range(params.octaves)))
+
+
+def _describable(x, y, sigma, octave: int, shape) -> np.ndarray:
+    """Mask of the refined keypoints of one octave worth orienting: those
+    whose descriptor window stays inside the plane, and each outside one
+    whose rounded (x, y, sigma) equals that of an inside one, since after
+    orientation it can share that keypoint's duplicate key and, coming
+    first, shadow it.  Every other keypoint would be dropped unseen."""
+    inside = _descriptor_window(x, y, sigma, octave, shape)[3]
+    keys = _rounded([x.tolist(), y.tolist(), sigma.tolist()])
+    kept = {key for key, ok in zip(keys, inside.tolist()) if ok}
+    return inside | np.array([key in kept for key in keys], dtype=bool)
+
+
 def _detect_oriented_keypoints(gray: GrayImage, params: SiftParams):
     """Scale space of an image, its oriented keypoints (n, 4) and their
-    (octave, layer) blur levels (n, 2), in output order."""
-    ss = build_scale_space(gray, params.octaves, params.scales_per_octave, params.sigma0)
+    (octave, layer) blur levels (n, 2), in output order.
+
+    Only keypoints that can yield a descriptor, or shadow one that can,
+    are kept; the scale space holds only the octaves that can yield one.
+    """
+    depth = _descriptor_octaves(gray, params)
+    ss = build_scale_space(gray, depth, params.scales_per_octave, params.sigma0)
     dog = build_dog(ss)
     cands = detect_extrema(dog)
     kps, levels = [np.empty((0, 4))], [np.empty((0, 2), dtype=np.intp)]
-    for o in range(len(dog.octaves)):
+    for o in range(depth):
         x, y, sigma, layer = _refine_octave(
             dog, o, cands[cands[:, 0] == o, 1:], params.contrast_threshold, params.edge_ratio
         )
+        keep = _describable(x, y, sigma, o, dog.octaves[o].shape[1:])
+        x, y, sigma, layer = x[keep], y[keep], sigma[keep], layer[keep]
         for l in np.unique(layer).tolist():
             m = layer == l
             item, angle = _orientation_peaks(
@@ -594,11 +689,9 @@ def _detect_oriented_keypoints(gray: GrayImage, params: SiftParams):
     order = _output_order(kp, level)
     kp, level = kp[order], level[order]
     # refinement can converge two candidates onto the same point: the first
-    # in output order stays.  Python's round rounds the exact decimal value,
-    # which np.round does not.
-    rounded = ([round(v, d) for v in col] for col, d in zip(kp.T.tolist(), (3, 3, 4, 5)))
+    # in output order stays
     first = {}
-    for i, key in enumerate(zip(level[:, 0].tolist(), *rounded)):
+    for i, key in enumerate(zip(level[:, 0].tolist(), _rounded(kp.T.tolist()))):
         first.setdefault(key, i)
     keep = list(first.values())
     return ss, kp[keep], level[keep]
@@ -625,11 +718,11 @@ def extract_sift(gray: GrayImage, params: SiftParams = SiftParams()) -> Tuple[np
 def extract_rgb_sift(img: Image, params: SiftParams = SiftParams()) -> Tuple[np.ndarray, np.ndarray]:
     """Keypoints (n, 4) from the grayscale plane; per keypoint one 128-vector
     per R/G/B channel, normalized separately and concatenated to 384."""
-    _, kp, level = _detect_oriented_keypoints(to_grayscale(img), params)
+    gray_ss, kp, level = _detect_oriented_keypoints(to_grayscale(img), params)
     blocks = []
     for c in range(3):
         ss = build_scale_space(
-            GrayImage(img.pixels[:, :, c]), params.octaves, params.scales_per_octave, params.sigma0
+            GrayImage(img.pixels[:, :, c]), len(gray_ss.octaves), params.scales_per_octave, params.sigma0
         )
         raw, inside = _raw_descriptors(ss, kp, level)
         # a flat channel has no gradients; its block stays zero

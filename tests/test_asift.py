@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from placevision.asift import asift_views, extract_asift, make_view
+from placevision.image import GrayImage
 from placevision.sift import SiftParams, extract_sift
 from tests.conftest import blob_texture
 
@@ -118,3 +119,33 @@ def test_tilted_copy_matches_with_more_asift_correspondences(tex):
         extract_asift(tex, params, tilts, 90.0), extract_asift(tilted, params, tilts, 90.0)
     )
     assert asift >= 2 * max(plain, 1)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (SiftParams(sigma0=-1.0), "sigma0 must be positive"),
+        (SiftParams(octaves=0), "octaves and scales_per_octave must be >= 1"),
+        (SiftParams(scales_per_octave=0), "octaves and scales_per_octave must be >= 1"),
+    ],
+)
+def test_bad_sift_parameters_raise_instead_of_emptying_every_view(tex, params, message):
+    with pytest.raises(ValueError, match=message):
+        extract_asift(tex, params, (1.0, 4.0), 90.0)
+
+
+def test_input_too_small_for_the_octaves_raises_as_for_plain_sift():
+    small = GrayImage(np.random.default_rng(0).random((40, 40)))
+    for extract in (extract_sift, extract_asift):
+        with pytest.raises(ValueError, match="image 40x40 too small for 4 octaves"):
+            extract(small)
+
+
+def test_only_views_too_small_for_the_octaves_are_skipped(tex):
+    # at tilt 4 the 160-px texture's views are ~40 px wide, too narrow for 4
+    # octaves (40 // 8 < 8); the identity view alone is extracted
+    narrow = [v for v in asift_views(tex, (1.0, 4.0), 90.0) if v.tilt == 4.0]
+    assert narrow and all(v.image.width // 8 < 8 for v in narrow)
+    ka, va = extract_asift(tex, SiftParams(), (1.0, 4.0), 90.0)
+    kb, vb = extract_sift(tex, SiftParams())
+    assert len(ka) and np.array_equal(ka, kb) and np.array_equal(va, vb)

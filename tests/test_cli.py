@@ -262,9 +262,14 @@ def test_predict_warns_for_each_row_it_cannot_classify(dataset, tmp_path, capsys
     warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
     assert len(warnings) == 1
     assert "images/flat.ppm" in warnings[0] and "bovw" in warnings[0]
-    preds = (out / "predictions.csv").read_text().splitlines()
-    assert len(preds) == 1 + 6
-    assert not any("flat.ppm" in ln for ln in preds)
+    with (out / "predictions.csv").open(newline="") as fh:
+        preds = list(csv.reader(fh))
+    assert len(preds) == 1 + 7
+    # the featureless row is answered UNKNOWN, in manifest order, with the
+    # lowest score in the file
+    assert preds[-1][:2] == ["images/flat.ppm", "UNKNOWN"]
+    assert float(preds[-1][2]) == min(float(score) for _, _, score in preds[1:])
+    assert run_stage(["evaluate", "--manifest", man, "--out", out, "--sequences", "2"]) == 0
 
 
 def test_label_with_comma_round_trips_through_predictions(dataset, tmp_path):
@@ -324,6 +329,29 @@ def test_unknown_config_key_or_choice_fails_before_features(dataset, tmp_path, c
     assert rc == 2
     err = capsys.readouterr().err
     assert "config line 7" in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sift.sigma0", "-1"),
+    ("sift.sigma0", "nan"),
+    ("sift.octaves", "0"),
+    ("sift.octaves", "2.5"),
+    ("sift.scales_per_octave", "0"),
+    ("sift.orientation_sigma_factor", "0"),
+    ("sift.contrast_threshold", "-0.1"),
+    ("sift.edge_ratio", "inf"),
+])
+def test_bad_sift_value_fails_before_features(dataset, tmp_path, capsys, key, value):
+    with pytest.raises(pipeline.DataError, match=f"{key} must be"):
+        parse_config_text(f"{key} = {value}\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                    "--out", out])
+    assert rc == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,3 +161,36 @@ def test_csv_round_trip_bovw_binning(tmp_path):
     path = tmp_path / "b.csv"
     write_histogram_csv(h, path)
     assert np.array_equal(read_histogram_csv(path).bins, h.bins)
+
+
+def write_every_bin(h, path):
+    """Reference: format every bin with 17 significant digits."""
+    lines = [f"axes={h.binning},normalized={1 if h.normalized else 0}"]
+    lines.extend(f"{v:.17g}" for v in h.bins)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _sparse(n, nonzero, seed):
+    rng = np.random.default_rng(seed)
+    bins = np.zeros(n)
+    bins[rng.choice(n, nonzero, replace=False)] = rng.random(nonzero)
+    return bins
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        normalize_l1(FeatureHistogram(_sparse(1000, 30, 1), "10x10x10")),
+        normalize_l1(FeatureHistogram(_sparse(1800, 50, 2), "18x10x10")),
+        FeatureHistogram(_sparse(1000, 30, 3), "10x10x10"),
+        normalize_l1(FeatureHistogram(np.random.default_rng(4).random(27), "3x3x3")),
+        FeatureHistogram(np.array([0.0, -0.0, 1e-300, 5e-324, 1e300, 0.1, -0.0]), "generic:7"),
+        FeatureHistogram(np.array([-0.0, 0.0, 2.0]), "bovw:3", normalized=False),
+        FeatureHistogram(np.zeros(4), "generic:4"),
+        FeatureHistogram(np.full(4, -0.0), "generic:4"),
+    ],
+)
+def test_csv_writer_matches_the_every_bin_reference(tmp_path, h):
+    write_histogram_csv(h, tmp_path / "got.csv")
+    write_every_bin(h, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -15,6 +15,7 @@ from placevision.image import (
     rgb_to_hsv,
     to_grayscale,
     write_pnm,
+    _convolve_axis,
 )
 
 
@@ -166,6 +167,34 @@ def test_blur_impulse_proportional_to_gaussian():
     scale = win[radius, radius] / ref[radius, radius]
     rel = np.abs(win - scale * ref) / (scale * ref)
     assert rel.max() < 1e-6
+
+
+def pad_convolve_axis(a, kernel, axis):
+    """Reference: edge-pad with np.pad, then add the taps into zeros."""
+    radius = len(kernel) // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (radius, radius)
+    padded = np.pad(a, pad, mode="edge")
+    out = np.zeros_like(a)
+    for t, w in enumerate(kernel):
+        if axis == 0:
+            out += w * padded[t : t + a.shape[0], :]
+        else:
+            out += w * padded[:, t : t + a.shape[1]]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(96, 96), (48, 37), (1, 9), (5, 40), (37, 2)])
+@pytest.mark.parametrize("sigma", [0.3, 1.2, 1.6, 2.9, 6.0])
+def test_convolve_axis_matches_the_pad_reference(shape, sigma):
+    # kernels wider than the image clamp every tap; exact zeros keep their
+    # sign; the bytes must agree, not just the values
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    a = rng.random(shape)
+    a[a < 0.3] = 0.0
+    kernel = gaussian_kernel1d(sigma)
+    for axis in (0, 1):
+        assert _convolve_axis(a, kernel, axis).tobytes() == pad_convolve_axis(a, kernel, axis).tobytes()
 
 
 def test_blur_semigroup_property():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placevision import sift
-from placevision.image import GrayImage, Image, gaussian_blur
+from placevision.asift import asift_views, extract_asift
+from placevision.image import GrayImage, Image, gaussian_blur, to_grayscale
 from placevision.sift import (
     DESCRIPTOR_CLAMP,
     DoGPyramid,
@@ -23,6 +25,7 @@ from placevision.sift import (
     refine_keypoint,
     write_descriptors,
 )
+from placevision.synth import render_room_image
 
 
 def keyed(features):
@@ -136,6 +139,60 @@ def test_single_blob_detected_at_predicted_location_and_scale():
         c for c in cands if abs(dog.octaves[c[0]][c[1], c[2], c[3]]) > 0.99 * strongest
     ]
     assert len(ties) == 1
+
+
+def _extrema_by_neighbour_loop(dog):
+    """Reference: compare each pixel with its 26 neighbours one shifted view
+    at a time, as (octave, layer, y, x) rows."""
+    rows = []
+    for o, stack in enumerate(dog.octaves):
+        n_layers, h, w = stack.shape
+        if n_layers < 3 or h < 3 or w < 3:
+            continue
+        for l in range(1, n_layers - 1):
+            center = stack[l, 1 : h - 1, 1 : w - 1]
+            is_max = np.ones(center.shape, dtype=bool)
+            is_min = np.ones(center.shape, dtype=bool)
+            for dl, dy, dx in itertools.product((-1, 0, 1), repeat=3):
+                if dl == dy == dx == 0:
+                    continue
+                nb = stack[l + dl, 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
+                is_max &= center > nb
+                is_min &= center < nb
+            ys, xs = np.nonzero(is_max | is_min)
+            rows += [[o, l, y + 1, x + 1] for y, x in zip(ys.tolist(), xs.tolist())]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_extrema_match_the_neighbour_loop_on_tied_stacks(seed):
+    # coarsely quantized values leave many ties and plateaus; a sign-flipped
+    # copy exercises maxima and minima alike, and tiny stacks the shape guard
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for _ in range(3):
+        shape = (rng.integers(1, 6), rng.integers(1, 14), rng.integers(1, 14))
+        levels = int(rng.integers(1, 5))
+        stacks.append(np.round(rng.normal(size=shape) * levels) / levels)
+    stacks.append(-stacks[0])
+    stacks.append(np.round(rng.normal(size=(4, 24, 20)) * 2) / 2)
+    # plateaus: flat blocks, one a notch above its surroundings
+    plateau = np.zeros((3, 12, 12))
+    plateau[:, 3:7, 3:7] = 1.0
+    plateau[1, 4:6, 4:6] = 2.0
+    plateau[1, 9, 9] = -1.0
+    stacks += [plateau, -plateau]
+    dog = DoGPyramid(stacks, 1.6, 2)
+    got = detect_extrema(dog)
+    assert got.dtype == np.intp and got.shape[1] == 4
+    assert got.tolist() == _extrema_by_neighbour_loop(dog)
+
+
+def test_extrema_match_the_neighbour_loop_on_an_image_pyramid(texture):
+    dog = build_dog(build_scale_space(texture, 3))
+    want = _extrema_by_neighbour_loop(dog)
+    assert len(want) > 100
+    assert detect_extrema(dog).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +394,256 @@ def test_no_two_keypoints_share_a_duplicate_key(small_texture):
         for o, (x, y, s, a) in zip(level[:, 0].tolist(), keypoints.tolist())
     ]
     assert len(keys) == len(set(keys))
+
+
+# ---------------------------------------------------------------------------
+# reference: extraction without skipped work.  Every configured octave is
+# built and searched (by the neighbour loop above), every refined keypoint is
+# oriented, duplicates are dropped, and only then are windows tested and
+# descriptors scattered one corner vote at a time.
+# ---------------------------------------------------------------------------
+
+def _reference_bilinear(arr, ys, xs):
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    fy = ys - y0
+    fx = xs - x0
+    return (
+        arr[y0, x0] * (1 - fy) * (1 - fx)
+        + arr[y0, x0 + 1] * (1 - fy) * fx
+        + arr[y0 + 1, x0] * fy * (1 - fx)
+        + arr[y0 + 1, x0 + 1] * fy * fx
+    )
+
+
+def _reference_descriptor_histograms(dx_img, dy_img, cx, cy, spacing, theta):
+    n = len(cx)
+    cells, bins, side = sift.DESCRIPTOR_CELLS, sift.DESCRIPTOR_ORI_BINS, sift._TENSOR_SIDE
+    grid = sift._SAMPLE_OFFSETS * spacing[:, None]
+    su = grid[:, None, :]
+    sv = grid[:, :, None]
+    cos_t = np.cos(theta)[:, None, None]
+    sin_t = np.sin(theta)[:, None, None]
+    xs = cx[:, None, None] + su * cos_t - sv * sin_t
+    ys = cy[:, None, None] + su * sin_t + sv * cos_t
+    gdx = _reference_bilinear(dx_img, ys, xs)
+    gdy = _reference_bilinear(dy_img, ys, xs)
+    mag = np.hypot(gdx, gdy)
+    rel_angle = (np.arctan2(gdy, gdx) - theta[:, None, None]) % (2.0 * math.pi)
+    cu = su / (spacing[:, None, None] * 4.0) + (cells - 1) / 2.0
+    cv = sv / (spacing[:, None, None] * 4.0) + (cells - 1) / 2.0
+    gauss = np.exp(-((cu - (cells - 1) / 2.0) ** 2 + (cv - (cells - 1) / 2.0) ** 2) / (2.0 * (0.5 * cells) ** 2))
+    shape = (n, sift._SAMPLES * sift._SAMPLES)
+    contrib = (mag * gauss).reshape(shape)
+    obin = rel_angle.reshape(shape) / (2.0 * math.pi) * bins
+    r = np.broadcast_to(cv, mag.shape).reshape(shape)
+    c = np.broadcast_to(cu, mag.shape).reshape(shape)
+    r0 = np.floor(r).astype(np.intp)
+    c0 = np.floor(c).astype(np.intp)
+    o0 = np.floor(obin).astype(np.intp)
+    fr, fc, fo = r - r0, c - c0, obin - o0
+    o0 %= bins
+    base = np.arange(n)[:, None] * sift._TENSOR_SIZE
+    index, weight = [], []
+    for dr, wr in ((0, 1 - fr), (1, fr)):
+        for dc, wc in ((0, 1 - fc), (1, fc)):
+            for do, wo in ((0, 1 - fo), (1, fo)):
+                index.append(base + ((r0 + 1 + dr) * side + (c0 + 1 + dc)) * bins + (o0 + do) % bins)
+                weight.append(contrib * wr * wc * wo)
+    tensor = np.bincount(
+        np.concatenate(index, axis=None), weights=np.concatenate(weight, axis=None), minlength=n * sift._TENSOR_SIZE
+    ).reshape(n, side, side, bins)
+    return tensor[:, 1:-1, 1:-1, :].reshape(n, sift.DESCRIPTOR_SIZE)
+
+
+def _reference_raw_descriptors(ss, kp, level):
+    raw = np.zeros((len(kp), sift.DESCRIPTOR_SIZE))
+    inside = np.zeros(len(kp), dtype=bool)
+    for octave, layer in np.unique(level, axis=0).tolist():
+        at = np.flatnonzero((level == (octave, layer)).all(axis=1))
+        scale_factor = 2.0**octave
+        dx_img, dy_img = ss.gradients(octave, layer)
+        h, w = dx_img.shape
+        cx = kp[at, 0] / scale_factor
+        cy = kp[at, 1] / scale_factor
+        spacing = 3.0 * (kp[at, 2] / scale_factor) / 4.0
+        half_extent = spacing * (sift._SAMPLES - 1) / 2.0 * math.sqrt(2.0) + 1.0
+        inside[at] = ~(
+            (cx - half_extent < 0) | (cx + half_extent > w - 1) | (cy - half_extent < 0) | (cy + half_extent > h - 1)
+        )
+        idx = np.flatnonzero(inside[at])
+        raw[at[idx]] = _reference_descriptor_histograms(dx_img, dy_img, cx[idx], cy[idx], spacing[idx], kp[at[idx], 3])
+    return raw, inside
+
+
+def _reference_keypoints(gray, params):
+    ss = build_scale_space(gray, params.octaves, params.scales_per_octave, params.sigma0)
+    dog = build_dog(ss)
+    cands = np.array(_extrema_by_neighbour_loop(dog), dtype=np.intp).reshape(-1, 4)
+    kps, levels = [np.empty((0, 4))], [np.empty((0, 2), dtype=np.intp)]
+    for o in range(params.octaves):
+        x, y, sigma, layer = sift._refine_octave(
+            dog, o, cands[cands[:, 0] == o, 1:], params.contrast_threshold, params.edge_ratio
+        )
+        for l in np.unique(layer).tolist():
+            m = layer == l
+            item, angle = sift._orientation_peaks(ss, o, l, x[m], y[m], sigma[m], params.orientation_sigma_factor)
+            kps.append(np.column_stack([x[m][item], y[m][item], sigma[m][item], angle]))
+            levels.append(np.tile(np.array([o, l], dtype=np.intp), (len(item), 1)))
+    kp, level = np.concatenate(kps), np.concatenate(levels)
+    order = sift._output_order(kp, level)
+    kp, level = kp[order], level[order]
+    first = {}
+    for i, (o, (x, y, s, a)) in enumerate(zip(level[:, 0].tolist(), kp.tolist())):
+        first.setdefault((o, round(x, 3), round(y, 3), round(s, 4), round(a, 5)), i)
+    keep = list(first.values())
+    return ss, kp[keep], level[keep]
+
+
+def reference_sift(gray, params=SiftParams()):
+    """(keypoints, values, levels) of extraction without skipped work."""
+    ss, kp, level = _reference_keypoints(gray, params)
+    raw, inside = _reference_raw_descriptors(ss, kp, level)
+    values, ok = sift._normalize_rows(raw)
+    keep = inside & ok
+    return kp[keep], values[keep], level[keep]
+
+
+def reference_rgb_sift(img, params=SiftParams()):
+    _, kp, level = _reference_keypoints(to_grayscale(img), params)
+    blocks = []
+    for c in range(3):
+        ss = build_scale_space(GrayImage(img.pixels[:, :, c]), params.octaves, params.scales_per_octave, params.sigma0)
+        raw, inside = _reference_raw_descriptors(ss, kp, level)
+        blocks.append(sift._normalize_rows(raw)[0])
+    full = np.concatenate(blocks, axis=1)
+    norm = np.sqrt(sift._rowdot(full, full))
+    keep = inside & (norm > 0)
+    return kp[keep], full[keep] / norm[keep, None]
+
+
+def reference_asift(gray, params=SiftParams()):
+    kps, values = [np.empty((0, 4))], [np.empty((0, sift.DESCRIPTOR_SIZE))]
+    levels = [np.empty((0, 2), dtype=np.intp)]
+    w, h = gray.width, gray.height
+    for view in asift_views(gray):
+        try:
+            kp, v, level = reference_sift(view.image, params)
+        except ValueError:
+            continue
+        inv = view.inverse
+        x = inv[0, 0] * kp[:, 0] + inv[0, 1] * kp[:, 1] + inv[0, 2]
+        y = inv[1, 0] * kp[:, 0] + inv[1, 1] * kp[:, 1] + inv[1, 2]
+        inside = (0.0 <= x) & (x <= w - 1) & (0.0 <= y) & (y <= h - 1)
+        kps.append(np.column_stack([x, y, kp[:, 2:]])[inside])
+        values.append(v[inside])
+        levels.append(level[inside])
+    kp, level = np.concatenate(kps), np.concatenate(levels)
+    order = sift._output_order(kp, level)
+    return kp[order], np.concatenate(values)[order]
+
+
+def _test_image(name):
+    """(gray plane, colour image) of a named test image."""
+    from tests.conftest import blob_texture
+
+    if name.startswith("synth"):
+        img = render_room_image(4, 2, 1, size=int(name[5:]), seed=5)
+        return to_grayscale(img), img
+    seed, size = {"texture": (42, 256), "small_texture": (7, 128)}[name]
+    gray = blob_texture(seed=seed, size=size)
+    a = gray.intensities
+    return gray, Image(np.stack([a, a * a, 0.5 * a + 0.25], axis=2))
+
+
+def _assert_same_features(got, want):
+    assert len(want[0])
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("name", ["synth96", "synth160", "synth320", "texture", "small_texture"])
+def test_extraction_equals_the_reference_without_skipped_work(name):
+    gray, rgb = _test_image(name)
+    _assert_same_features(extract_sift(gray), reference_sift(gray)[:2])
+    _assert_same_features(extract_rgb_sift(rgb), reference_rgb_sift(rgb))
+    _assert_same_features(extract_asift(gray), reference_asift(gray))
+
+
+@pytest.mark.parametrize(
+    "side,params",
+    [
+        (110, SiftParams()),
+        (112, SiftParams()),
+        (96, SiftParams(sigma0=1.2, octaves=3)),
+        (128, SiftParams(scales_per_octave=3, octaves=3)),
+        (72, SiftParams(sigma0=2.4, octaves=2)),
+        (96, SiftParams(contrast_threshold=0.01, orientation_sigma_factor=2.0)),
+    ],
+)
+def test_extraction_equals_the_reference_across_parameters(side, params):
+    from tests.conftest import blob_texture
+
+    a = blob_texture(seed=side, size=side).intensities
+    gray, rgb = GrayImage(a), Image(np.stack([a, a * a, 0.5 * a + 0.25], axis=2))
+    _assert_same_features(extract_sift(gray, params), reference_sift(gray, params)[:2])
+    _assert_same_features(extract_rgb_sift(rgb, params), reference_rgb_sift(rgb, params))
+
+
+def test_descriptor_octaves_stop_where_no_window_fits():
+    # the smallest window (sigma0 = 1.6) spans 2 * 13.73 px: a 96-px image
+    # has 96- and 48-px planes that hold it, 24 and 12 px do not
+    def depth(side, **kw):
+        return sift._descriptor_octaves(GrayImage(np.zeros((side, side + 5))), SiftParams(**kw))
+
+    assert [depth(s) for s in (64, 96, 111, 112, 160, 320)] == [2, 2, 2, 3, 3, 4]
+    assert depth(96, octaves=1) == 1
+    assert depth(96, sigma0=3.0) == 1
+    assert depth(20, octaves=1) == 1  # nothing fits, one octave is still searched
+
+
+def test_extraction_keeps_the_configured_octaves_size_error():
+    # a 40-px image can only hold descriptors in octave 0, yet 4 configured
+    # octaves need 64 px, and extraction says so
+    a = np.random.default_rng(0).random((40, 40))
+    rgb = Image(np.repeat(a[:, :, None], 3, axis=2))
+    for extract, img in ((extract_sift, GrayImage(a)), (extract_rgb_sift, rgb)):
+        with pytest.raises(ValueError, match="image 40x40 too small for 4 octaves"):
+            extract(img)
+        with pytest.raises(ValueError, match="octaves and scales_per_octave must be >= 1"):
+            extract(img, SiftParams(octaves=0))
+        with pytest.raises(ValueError, match="sigma0 must be positive"):
+            extract(img, SiftParams(sigma0=0.0))
+        keypoints, _ = extract(img, SiftParams(octaves=3))  # 3 octaves fit
+        assert keypoints.shape[1] == 4
+
+
+def test_describable_keeps_only_inside_keypoints_and_their_shadows():
+    # a window of scale 19 / (0.75 * 7.5 * sqrt 2) has a half-extent of
+    # 20 px (19 px of samples plus one of interpolation), so on a 64-px
+    # plane its centre must lie in [20, 43]
+    sigma_in = 19.0 / (0.75 * 7.5 * math.sqrt(2.0))
+    assert sift._half_extent(sigma_in)[1] == pytest.approx(20.0, abs=1e-12)
+    octave, shape = 1, (64, 64)
+    # (x, y, sigma) in the base frame, i.e. twice the plane coordinates
+    rows = np.array(
+        [
+            [2 * 32.0, 2 * 32.0, 2 * sigma_in],  # inside
+            [2 * 20.0002, 2 * 32.0, 2 * sigma_in],  # inside, on the left edge
+            [2 * 19.9999, 2 * 32.0, 2 * sigma_in],  # outside; rounds like the previous
+            [2 * 19.9999, 2 * 32.0, 2 * sigma_in + 0.01],  # outside; its sigma rounds apart
+            [2 * 3.0, 2 * 3.0, 2 * sigma_in],  # outside
+            [2 * 32.0, 2 * 43.5, 2 * sigma_in],  # outside, below
+        ]
+    )
+    x, y, sigma = rows.T
+    inside = sift._descriptor_window(x, y, sigma, octave, shape)[3]
+    assert inside.tolist() == [True, True, False, False, False, False]
+    assert sift._describable(x, y, sigma, octave, shape).tolist() == [True, True, True, False, False, False]
+    # the same plane coordinates in octave 0
+    in_octave_0 = sift._describable(x / 2, y / 2, sigma / 2, 0, shape)
+    assert in_octave_0.tolist() == [True, True, True, False, False, False]
+    assert not sift._describable(x, y, sigma, octave, (32, 32)).any()
 
 
 def test_500px_texture_keypoint_count_order_of_magnitude():
