@@ -135,6 +135,7 @@ def extract_asift(
     w, h = img.width, img.height
     # the input itself must hold the pyramid, as for extract_sift
     _check_pyramid(img, params.octaves, params.scales_per_octave, params.sigma0)
+    params.check()
     for view in asift_views(img, tilt_levels, phi_step_deg):
         if not _holds_octaves(view.image, params.octaves):
             continue  # strongly compressed views can be too small to pyramid

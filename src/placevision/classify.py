@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .distances import pairwise_distances, sq_euclidean_gram
+from .rules import COUNT, NON_NEGATIVE, RATE, SEED, check_fields
 
 UNKNOWN = "UNKNOWN"
 
@@ -402,12 +403,34 @@ class GaParams:
     mutation_sigma_factor: float = 0.05
     seed: int = 0
 
+    def check(self) -> None:
+        """Raise ValueError naming the first field outside its rule."""
+        check_fields(self, GA_RULES)
+        if self.population < self.elite:
+            raise ValueError(
+                f"population must be an integer >= elite ({self.elite}), got {self.population!r}"
+            )
+
+
+# the rule of each GaParams field, also the rule of its ga.* config key
+GA_RULES = {
+    "population": COUNT,
+    "mutation_rate": RATE,
+    "crossover_rate": RATE,
+    "generations": COUNT,
+    "elite": COUNT,
+    "mutation_sigma_factor": NON_NEGATIVE,
+    "seed": SEED,
+}
+
 
 @dataclass
 class GaResult:
     thresholds: ThresholdSet
     best_fitness: float
     history: np.ndarray  # elite fitness per generation
+    generations_run: int  # fewer than configured when the ceiling was reached
+    ceiling: float  # F of accepting exactly the correct nearest neighbours
 
 
 def _micro_f_measure(accepted: np.ndarray, correct: np.ndarray) -> np.ndarray:
@@ -438,8 +461,10 @@ def ga_optimize_thresholds(
     classification of the validation set against the training gallery.
     Rank selection with elitism; genes live in [0, max observed
     distance]; mutation adds Gaussian noise of 0.05 x range.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  The search stops once the best F
+    reaches its ceiling, with the result of running every generation.
     """
+    params.check()
     if not train or not validation:
         raise ValueError("train and validation sets must be non-empty")
     train_labels = sorted({lb for lb, _ in train})
@@ -462,30 +487,41 @@ def ga_optimize_thresholds(
         accepted = nearest_dist[None, :] <= p[:, nearest_class]
         return _micro_f_measure(accepted, np.broadcast_to(correct, accepted.shape))
 
+    # F <= 2c/(c+n) for c correct nearest neighbours, with equality only when
+    # exactly the correct rows are accepted; selection keeps an earlier best
+    # on ties, so once the ceiling is reached no later generation changes the
+    # result, and the search stops there
+    ceiling = float(_micro_f_measure(correct[None, :], correct[None, :])[0])
     history = np.empty(params.generations)
     best_genome = pop[0].copy()
     best_fit = -1.0
     ranks = np.arange(params.population, 0, -1, dtype=float)
-    rank_p = ranks / ranks.sum()
+    # rank selection draws as Generator.choice(p=ranks / ranks.sum()) does:
+    # one uniform double per parent, looked up in the normalised cumulative sum
+    cdf = (ranks / ranks.sum()).cumsum()
+    cdf /= cdf[-1]
+    n_children = params.population - params.elite
     for gen in range(params.generations):
         fit = fitness(pop)
         order = np.argsort(-fit, kind="stable")
+        ranked = pop[order]
         if fit[order[0]] > best_fit:
             best_fit = float(fit[order[0]])
-            best_genome = pop[order[0]].copy()
+            best_genome = ranked[0].copy()
         history[gen] = best_fit
+        if best_fit >= ceiling:
+            history[gen:] = best_fit
+            break
 
-        elite = pop[order[: params.elite]].copy()
-        parents_idx = rng.choice(params.population, size=(params.population - params.elite, 2), p=rank_p)
-        pa = pop[order][parents_idx[:, 0]]
-        pb = pop[order][parents_idx[:, 1]]
-        mix = rng.random((params.population - params.elite, 1))
-        do_cross = rng.random((params.population - params.elite, 1)) < params.crossover_rate
+        parents = ranked[cdf.searchsorted(rng.random((n_children, 2)), side="right")]
+        pa, pb = parents[:, 0], parents[:, 1]
+        mix = rng.random((n_children, 1))
+        do_cross = rng.random((n_children, 1)) < params.crossover_rate
         children = np.where(do_cross, mix * pa + (1 - mix) * pb, pa)
         mutate = rng.random(children.shape) < params.mutation_rate
         noise = rng.normal(0.0, params.mutation_sigma_factor * gene_range, size=children.shape)
         children = np.clip(children + mutate * noise, 0.0, gene_range)
-        pop = np.vstack([elite, children])
+        pop = np.vstack([ranked[: params.elite], children])
 
     thresholds = ThresholdSet(dict(zip(train_labels, best_genome)))
-    return GaResult(thresholds, best_fit, history)
+    return GaResult(thresholds, best_fit, history, gen + 1, ceiling)

@@ -102,6 +102,8 @@ def _load(args):
     sequences = _parse_sequences(args.sequences)  # usage checks before any I/O
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     manifest = read_manifest(args.manifest).select(sequences)
     config = None
     if getattr(args, "config", None):

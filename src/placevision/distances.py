@@ -65,13 +65,20 @@ def _kl_block(q, g, epsilon: float = _KL_EPSILON, printed_form: bool = False) ->
 
 
 def _jeffrey_block(q, g) -> np.ndarray:
-    a = q[:, None, :]
+    # a bin that is zero in every row adds exactly +0.0, so the logs are taken
+    # on the occupied bins only; the terms go back into place before the sum,
+    # which then adds the same values in the same order
+    cols = np.flatnonzero(q.any(axis=0) | g.any(axis=0))
+    a = q[:, None, cols]
+    g = g[:, cols]
     m = a + g
     m = np.where(m > 0, m, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ta = np.where(a > 0, a * np.log(np.where(a > 0, 2 * a, 1) / m), 0.0)
         tb = np.where(g > 0, g * np.log(np.where(g > 0, 2 * g, 1) / m), 0.0)
-    return (ta + tb).sum(axis=2)
+    terms = np.zeros((q.shape[0], g.shape[0], q.shape[1]))
+    terms[:, :, cols] = ta + tb
+    return terms.sum(axis=2)
 
 
 def _chi2_block(q, g, symmetric: bool = False) -> np.ndarray:

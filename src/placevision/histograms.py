@@ -131,5 +131,12 @@ def read_histogram_csv(path) -> FeatureHistogram:
     binning, _, norm = head.partition(",normalized=")
     if norm not in ("0", "1"):
         raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    bins = np.array([float(v) for v in lines[1:] if v], dtype=np.float64)
+    values = lines[1:]
+    if "" in values:
+        values = [v for v in values if v]
+    # most bins are written as "0", the +0.0 that np.zeros already holds
+    bins = np.zeros(len(values))
+    for i, v in enumerate(values):
+        if v != "0":
+            bins[i] = float(v)
     return FeatureHistogram(bins, binning, normalized=(norm == "1"))

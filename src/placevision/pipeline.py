@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .classify import (
     UNKNOWN,
     CompositeFeature,
     CompositePart,
+    GA_RULES,
     GaParams,
     KernelSpec,
     ThresholdSet,
@@ -47,7 +47,8 @@ from .histograms import (
 )
 from .image import load_pnm, to_grayscale
 from .modelio import ClassifierModel, load_model, save_model
-from .sift import SiftParams, extract_rgb_sift, extract_sift, read_descriptors, write_descriptors
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, SEED, Rule
+from .sift import SIFT_RULES, SiftParams, extract_rgb_sift, extract_sift, read_descriptors, write_descriptors
 
 
 class DataError(Exception):
@@ -123,17 +124,29 @@ def read_manifest(path) -> Manifest:
 
 _DEFAULT_MEASURES = {"rgb": "jeffrey", "hsv": "bhattacharyya", "bovw": "minkowski:1"}
 
+# The rule of each numeric config key; a sift.* or ga.* key takes the rule
+# of its SiftParams or GaParams field.  classifier.rbf_sigma also takes auto.
+_NUMERIC_KEYS = {
+    "seed": SEED,
+    "rgb.weight": NON_NEGATIVE,
+    "hsv.weight": NON_NEGATIVE,
+    "bovw.weight": NON_NEGATIVE,
+    "bovw.k": COUNT,
+    "vocab.threshold": NON_NEGATIVE,
+    "vocab.max_iter": COUNT,
+    "vocab.sample_cap": COUNT,
+    "classifier.c": POSITIVE,
+    "classifier.rbf_sigma": POSITIVE,
+    "ga.validation_fraction": Rule(float, "a number in (0, 1)", lambda v: 0 < v < 1),
+    **{f"sift.{name}": rule for name, rule in SIFT_RULES.items()},
+    **{f"ga.{name}": GA_RULES[name] for name in ("population", "mutation_rate", "crossover_rate", "generations")},
+}
+
 # Every config key; a tuple lists the only values its key accepts.
 _CONFIG_KEYS = {
+    **dict.fromkeys(_NUMERIC_KEYS),
     **dict.fromkeys(
-        """seed features.parts
-        rgb.bins rgb.measure rgb.weight hsv.bins hsv.measure hsv.weight bovw.k bovw.measure bovw.weight
-        sift.octaves sift.scales_per_octave sift.sigma0 sift.contrast_threshold sift.edge_ratio
-        sift.orientation_sigma_factor
-        vocab.distance vocab.threshold vocab.max_iter vocab.sample_cap
-        classifier.c classifier.rbf_sigma
-        ga.population ga.mutation_rate ga.crossover_rate ga.generations ga.validation_fraction
-        """.split()
+        "features.parts rgb.bins rgb.measure hsv.bins hsv.measure bovw.measure vocab.distance".split()
     ),
     "bovw.feature": ("sift", "asift", "rgbsift"),
     "vocab.builder": ("kmeans", "incremental"),
@@ -190,10 +203,14 @@ class PipelineConfig:
         return "|".join(bits)
 
 
-def _parse_bins(text: str) -> Tuple[int, int, int]:
-    parts = [int(v) for v in text.lower().split("x")]
+def _parse_bins(kv: Dict[str, str], key: str, default: str) -> Tuple[int, int, int]:
+    text = kv.get(key, default)
+    try:
+        parts = [int(v) for v in text.lower().split("x")]
+    except ValueError:
+        parts = []
     if len(parts) != 3 or min(parts) < 1:
-        raise DataError(f"bad bin grid {text!r}")
+        raise DataError(f"{key}: bad bin grid {text!r}")
     return tuple(parts)
 
 
@@ -206,26 +223,26 @@ def _checked_measure(kv: Dict[str, str], key: str, default: str) -> str:
     return measure
 
 
-# sift.* key: default, type and the condition its value must meet
-_SIFT_KEYS = {
-    "sift.octaves": ("4", int, "an integer >= 1", lambda v: v >= 1),
-    "sift.scales_per_octave": ("2", int, "an integer >= 1", lambda v: v >= 1),
-    "sift.sigma0": ("1.6", float, "a finite number > 0", lambda v: 0 < v < math.inf),
-    "sift.contrast_threshold": ("0.03", float, "a finite number >= 0", lambda v: 0 <= v < math.inf),
-    "sift.edge_ratio": ("10", float, "a finite number >= 1", lambda v: 1 <= v < math.inf),
-    "sift.orientation_sigma_factor": ("1.5", float, "a finite number > 0", lambda v: 0 < v < math.inf),
-}
+def _checked_numbers(kv: Dict[str, str]) -> Dict[str, float]:
+    """The value of every numeric key set in ``kv``; DataError names the
+    first key whose text breaks its rule."""
+    values = {}
+    for key, text in kv.items():
+        rule = _NUMERIC_KEYS.get(key)
+        if rule is None or (key == "classifier.rbf_sigma" and text == "auto"):
+            continue
+        try:
+            values[key] = rule.parse(text)
+        except ValueError:
+            what = ("auto or " if key == "classifier.rbf_sigma" else "") + rule.text
+            raise DataError(f"{key} must be {what}, got {text!r}") from None
+    return values
 
 
-def _checked_sift(kv: Dict[str, str], key: str, default: str, kind, rule: str, holds):
-    text = kv.get(key, default)
-    try:
-        value = kind(text)
-        if holds(value):
-            return value
-    except ValueError:
-        pass
-    raise DataError(f"{key} must be {rule}, got {text!r}")
+def _section(num: Dict[str, float], section: str) -> Dict[str, float]:
+    """The values set under ``section.``, keyed by field name."""
+    prefix = f"{section}."
+    return {k[len(prefix):]: v for k, v in num.items() if k.startswith(prefix)}
 
 
 def parse_config_text(text: str) -> PipelineConfig:
@@ -245,6 +262,7 @@ def parse_config_text(text: str) -> PipelineConfig:
             raise DataError(f"config line {ln}: {key} must be one of {' | '.join(choices)}, got {value!r}")
         kv[key] = value
 
+    num = _checked_numbers(kv)
     part_names = [p.strip() for p in kv.get("features.parts", "rgb,hsv,bovw").split(",") if p.strip()]
     if not part_names:
         raise DataError("features.parts must list at least one part")
@@ -252,7 +270,7 @@ def parse_config_text(text: str) -> PipelineConfig:
     for name in part_names:
         if name not in ("rgb", "hsv", "bovw"):
             raise DataError(f"unknown feature part {name!r}")
-        weights.append(float(kv.get(f"{name}.weight", 1.0 / len(part_names))))
+        weights.append(num.get(f"{name}.weight", 1.0 / len(part_names)))
     total = sum(weights)
     if total <= 0:
         raise DataError("part weights must sum to a positive value")
@@ -262,45 +280,43 @@ def parse_config_text(text: str) -> PipelineConfig:
     for name, weight in zip(part_names, weights):
         measure = _checked_measure(kv, f"{name}.measure", _DEFAULT_MEASURES[name])
         if name == "rgb":
-            parts.append(PartConfig(name, measure, weight, bins=_parse_bins(kv.get("rgb.bins", "10x10x10"))))
+            parts.append(PartConfig(name, measure, weight, bins=_parse_bins(kv, "rgb.bins", "10x10x10")))
         elif name == "hsv":
-            parts.append(PartConfig(name, measure, weight, bins=_parse_bins(kv.get("hsv.bins", "18x10x10"))))
+            parts.append(PartConfig(name, measure, weight, bins=_parse_bins(kv, "hsv.bins", "18x10x10")))
         else:
             parts.append(
                 PartConfig(
                     name,
                     measure,
                     weight,
-                    k=int(kv.get("bovw.k", "100")),
+                    k=num.get("bovw.k", 100),
                     feature=kv.get("bovw.feature", "sift"),
                 )
             )
 
-    sift = SiftParams(**{key[len("sift."):]: _checked_sift(kv, key, *spec) for key, spec in _SIFT_KEYS.items()})
-    seed = int(kv.get("seed", "7"))
-    sigma_text = kv.get("classifier.rbf_sigma", "auto")
-    ga = GaParams(
-        population=int(kv.get("ga.population", "200")),
-        mutation_rate=float(kv.get("ga.mutation_rate", "0.15")),
-        crossover_rate=float(kv.get("ga.crossover_rate", "0.7")),
-        generations=int(kv.get("ga.generations", "1000")),
-        seed=seed,
-    )
+    seed = num.get("seed", 7)
+    ga_fields = _section(num, "ga")
+    validation_fraction = ga_fields.pop("validation_fraction", 0.3)
+    ga = GaParams(**ga_fields, seed=seed)
+    try:
+        ga.check()  # the population must also hold the elite
+    except ValueError as exc:
+        raise DataError(f"ga.{exc}") from None
     return PipelineConfig(
         parts=tuple(parts),
         vocab_distance=_checked_measure(kv, "vocab.distance", "euclidean"),
         vocab_builder=kv.get("vocab.builder", "kmeans"),
-        vocab_threshold=float(kv.get("vocab.threshold", "0.5")),
-        vocab_max_iter=int(kv.get("vocab.max_iter", "40")),
-        vocab_sample_cap=int(kv.get("vocab.sample_cap", "200000")),
-        sift=sift,
+        vocab_threshold=num.get("vocab.threshold", 0.5),
+        vocab_max_iter=num.get("vocab.max_iter", 40),
+        vocab_sample_cap=num.get("vocab.sample_cap", 200_000),
+        sift=SiftParams(**_section(num, "sift")),
         classifier=kv.get("classifier.kind", "svm"),
         kernel=kv.get("classifier.kernel", "rbf"),
-        kernel_sigma=None if sigma_text == "auto" else float(sigma_text),
-        svm_c=float(kv.get("classifier.c", "10")),
+        kernel_sigma=num.get("classifier.rbf_sigma"),
+        svm_c=num.get("classifier.c", 10.0),
         ga_enabled=kv.get("ga.enabled", "0") in ("1", "true", "yes"),
         ga=ga,
-        ga_validation_fraction=float(kv.get("ga.validation_fraction", "0.3")),
+        ga_validation_fraction=validation_fraction,
         seed=seed,
     )
 
@@ -575,7 +591,11 @@ def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
             result = ga_optimize_thresholds(train_rows, val, config.ga)
             thresholds = result.thresholds
             gallery = train_rows + val
-            log(f"GA thresholds tuned: best F={result.best_fitness:.4f}")
+            if result.best_fitness >= result.ceiling:
+                stop = f"ceiling reached at generation {result.generations_run} of {config.ga.generations}"
+            else:
+                stop = f"below the ceiling F={result.ceiling:.4f} after all {config.ga.generations} generations"
+            log(f"GA thresholds tuned: best F={result.best_fitness:.4f}, {stop}")
         else:
             thresholds = ThresholdSet.permissive(class_labels)
         model = ClassifierModel("nn", config_id, class_labels, gallery=gallery, thresholds=thresholds)

@@ -53,6 +53,7 @@ import numpy as np
 
 from .binfile import Reader, write_atomic
 from .image import GrayImage, Image, downsample2, gaussian_blur, to_grayscale
+from .rules import COUNT, NON_NEGATIVE, POSITIVE, Rule, check_fields
 
 DESCRIPTOR_CELLS = 4
 DESCRIPTOR_ORI_BINS = 8
@@ -76,6 +77,21 @@ class SiftParams:
     # the source text says 1.6x the keypoint scale here; 1.5 is the
     # canonical value, so it is exposed as a parameter
     orientation_sigma_factor: float = 1.5
+
+    def check(self) -> None:
+        """Raise ValueError naming the first field outside its rule."""
+        check_fields(self, SIFT_RULES)
+
+
+# the rule of each SiftParams field, also the rule of its sift.* config key
+SIFT_RULES = {
+    "octaves": COUNT,
+    "scales_per_octave": COUNT,
+    "sigma0": POSITIVE,
+    "contrast_threshold": NON_NEGATIVE,
+    "edge_ratio": Rule(float, "a finite number >= 1", lambda v: 1 <= v < math.inf),
+    "orientation_sigma_factor": POSITIVE,
+}
 
 
 @dataclass
@@ -634,8 +650,8 @@ def _rounded(columns, digits=_KEY_DIGITS):
 
 def _descriptor_octaves(gray: GrayImage, params: SiftParams) -> int:
     """How many leading octaves extraction builds: the configured ones,
-    checked as for the full pyramid, less the trailing octaves whose plane
-    cannot hold a descriptor window.
+    checked as for the full pyramid (and every field against its rule),
+    less the trailing octaves whose plane cannot hold a descriptor window.
 
     A keypoint's scale within its octave is at least sigma0 (refinement
     clips its layer at 0), so no window is smaller than sigma0's.  A
@@ -643,6 +659,7 @@ def _descriptor_octaves(gray: GrayImage, params: SiftParams) -> int:
     less one; requiring it to be below the side leaves a pixel of slack.
     """
     _check_pyramid(gray, params.octaves, params.scales_per_octave, params.sigma0)
+    params.check()
     smallest = 2 * _half_extent(params.sigma0)[1]
     side = min(gray.width, gray.height)
     return max(1, sum(side // 2**o > smallest for o in range(params.octaves)))

@@ -1,13 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placevision.classify import (
     UNKNOWN,
     CompositeFeature,
     CompositePart,
     GaParams,
+    ThresholdSet,
+    _micro_f_measure,
     KernelSpec,
     ThresholdSet,
     composite_distance,
@@ -16,6 +21,8 @@ from placevision.classify import (
     kernel,
     median_heuristic_sigma,
     nn_classify,
+    nn_decide,
+    nn_distances,
     ova_predict,
     ova_train,
     svm_train,
@@ -313,3 +320,131 @@ def test_ga_validates_inputs():
         ga_optimize_thresholds(
             [("a", make_cf([0.0]))], [("zz", make_cf([0.0]))], GaParams(generations=1)
         )
+
+
+def full_loop_ga(train, validation, params):
+    """The GA as first written: every generation runs, parents are drawn by
+    Generator.choice and each parent side gathers the ranked population."""
+    train_labels = sorted({lb for lb, _ in train})
+    nearest_label, nearest_dist = nn_decide(*nn_distances([f for _, f in validation], train))
+    label_index = {lb: i for i, lb in enumerate(train_labels)}
+    nearest_class = np.array([label_index[lb] for lb in nearest_label])
+    correct = np.array([got == lb for got, (lb, _) in zip(nearest_label, validation)])
+    gene_range = float(max(nearest_dist.max(), 1e-12))
+    rng = np.random.default_rng(params.seed)
+    pop = rng.uniform(0.0, gene_range, size=(params.population, len(train_labels)))
+
+    def fitness(p):
+        accepted = nearest_dist[None, :] <= p[:, nearest_class]
+        return _micro_f_measure(accepted, np.broadcast_to(correct, accepted.shape))
+
+    history = np.empty(params.generations)
+    best_genome = pop[0].copy()
+    best_fit = -1.0
+    ranks = np.arange(params.population, 0, -1, dtype=float)
+    rank_p = ranks / ranks.sum()
+    n_children = params.population - params.elite
+    for gen in range(params.generations):
+        fit = fitness(pop)
+        order = np.argsort(-fit, kind="stable")
+        if fit[order[0]] > best_fit:
+            best_fit = float(fit[order[0]])
+            best_genome = pop[order[0]].copy()
+        history[gen] = best_fit
+        elite = pop[order[: params.elite]].copy()
+        parents_idx = rng.choice(params.population, size=(n_children, 2), p=rank_p)
+        pa = pop[order][parents_idx[:, 0]]
+        pb = pop[order][parents_idx[:, 1]]
+        mix = rng.random((n_children, 1))
+        do_cross = rng.random((n_children, 1)) < params.crossover_rate
+        children = np.where(do_cross, mix * pa + (1 - mix) * pb, pa)
+        mutate = rng.random(children.shape) < params.mutation_rate
+        noise = rng.normal(0.0, params.mutation_sigma_factor * gene_range, size=children.shape)
+        children = np.clip(children + mutate * noise, 0.0, gene_range)
+        pop = np.vstack([elite, children])
+    return ThresholdSet(dict(zip(train_labels, best_genome))), best_fit, history
+
+
+def _ga_case(case, rng):
+    """Gallery and validation rows whose nearest neighbours are all right,
+    partly wrong (the wrong ones further out than the right ones of their
+    class, so the ceiling can be reached) or all wrong."""
+    train = [("a", make_cf([0.0, 0.0])), ("b", make_cf([4.0, 4.0])), ("c", make_cf([0.0, 4.0]))]
+    near = lambda centre: make_cf(rng.normal(centre, 0.2, 2))  # noqa: E731
+    if case == "all-correct":
+        return train, [(lb, near(c)) for lb, c in [("a", [0, 0]), ("b", [4, 4]), ("c", [0, 4])] * 3]
+    if case == "some-wrong":
+        val = [(lb, near(c)) for lb, c in [("a", [0, 0]), ("b", [4, 4]), ("c", [0, 4])] * 3]
+        return train, val + [("b", make_cf([1.4, 0.0])), ("a", make_cf([0.0, 2.6]))]
+    return train, [(lb, near(c)) for lb, c in [("b", [0, 0]), ("c", [4, 4]), ("a", [0, 4])] * 2]
+
+
+@pytest.mark.parametrize("case, ceiling", [("all-correct", 1.0), ("some-wrong", 0.9), ("none-correct", 0.0)])
+def test_ga_equals_the_full_loop_and_stops_at_its_ceiling(case, ceiling):
+    generations = 150
+    stopped = []
+    for seed in range(3):
+        train, val = _ga_case(case, np.random.default_rng(seed))
+        for population in (2, 3, 200):
+            params = GaParams(population=population, generations=generations, seed=seed)
+            got = ga_optimize_thresholds(train, val, params)
+            thresholds, best, history = full_loop_ga(train, val, params)
+            want = np.array([thresholds.by_label[lb] for lb in "abc"])
+            assert np.array([got.thresholds.by_label[lb] for lb in "abc"]).tobytes() == want.tobytes()
+            assert got.best_fitness == best
+            assert got.history.tobytes() == history.tobytes()
+            assert got.ceiling == pytest.approx(ceiling)
+            assert (got.generations_run < generations) == (best >= got.ceiling)
+            stopped.append(got.generations_run < generations)
+    assert any(stopped)
+    if case == "none-correct":
+        assert all(stopped)
+
+
+def _exact_optimum(train, validation):
+    """Best micro F of any per-class thresholds: each class accepts a
+    prefix of its validation rows sorted by nearest distance."""
+    labels = sorted({lb for lb, _ in train})
+    nearest_label, nearest_dist = nn_decide(*nn_distances([f for _, f in validation], train))
+    correct = np.array([got == lb for got, (lb, _) in zip(nearest_label, validation)])
+    cuts = []
+    for lb in labels:
+        mine = [d for got, d in zip(nearest_label, nearest_dist.tolist()) if got == lb]
+        cuts.append([-1.0] + sorted(mine))  # -1 accepts none of the class
+    best = 0.0
+    for limits in itertools.product(*cuts):
+        limit = dict(zip(labels, limits))
+        accepted = np.array([d <= limit[got] for got, d in zip(nearest_label, nearest_dist.tolist())])
+        best = max(best, float(_micro_f_measure(accepted[None, :], correct[None, :])[0]))
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_classes=st.integers(1, 3),
+    points=st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 10.0)), min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_ga_never_beats_the_exact_optimum_which_never_beats_the_ceiling(n_classes, points, seed):
+    labels = "abc"[:n_classes]
+    train = [(lb, make_cf([3.0 * i])) for i, lb in enumerate(labels)]
+    val = [(labels[k % n_classes], make_cf([x])) for k, x in points]
+    result = ga_optimize_thresholds(train, val, GaParams(population=6, generations=15, seed=seed))
+    optimum = _exact_optimum(train, val)
+    assert result.best_fitness <= optimum <= result.ceiling
+
+
+def test_ga_params_name_the_field_they_reject():
+    train, val = _toy_sets(np.random.default_rng(12))
+    for params, field in [
+        (GaParams(population=0), "population"),
+        (GaParams(population=1), "population must be an integer >= elite"),
+        (GaParams(generations=0), "generations"),
+        (GaParams(mutation_rate=2.0), "mutation_rate"),
+        (GaParams(crossover_rate=float("nan")), "crossover_rate"),
+        (GaParams(elite=0), "elite"),
+        (GaParams(seed=-1), "seed"),
+        (GaParams(generations=2.5), "generations"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ga_optimize_thresholds(train, val, params)

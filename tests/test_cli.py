@@ -355,6 +355,71 @@ def test_bad_sift_value_fails_before_features(dataset, tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("bovw.k", "0"),
+    ("bovw.k", "x"),
+    ("vocab.max_iter", "0"),
+    ("vocab.sample_cap", "-5"),
+    ("vocab.threshold", "inf"),
+    ("rgb.weight", "nan"),
+    ("hsv.weight", "-0.5"),
+    ("classifier.c", "-1"),
+    ("classifier.rbf_sigma", "0"),
+    ("ga.population", "0"),
+    ("ga.population", "1"),
+    ("ga.generations", "0"),
+    ("ga.mutation_rate", "2"),
+    ("ga.crossover_rate", "-0.1"),
+    ("ga.validation_fraction", "1"),
+    ("seed", "1.5"),
+    ("seed", "-1"),
+    ("rgb.bins", "10x10xa"),
+])
+def test_bad_numeric_value_fails_before_features(dataset, tmp_path, capsys, key, value):
+    with pytest.raises(pipeline.DataError, match=re.escape(key)):
+        parse_config_text(f"{key} = {value}\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                    "--out", out])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_and_parameter_fields_share_one_rule():
+    from placevision.classify import GA_RULES
+    from placevision.sift import SIFT_RULES
+
+    for name, rule in SIFT_RULES.items():
+        assert pipeline._NUMERIC_KEYS[f"sift.{name}"] is rule
+    for name in ("population", "mutation_rate", "crossover_rate", "generations"):
+        assert pipeline._NUMERIC_KEYS[f"ga.{name}"] is GA_RULES[name]
+    config = parse_config_text("classifier.rbf_sigma = auto\nseed = 0\nga.population = 2\n")
+    assert config.kernel_sigma is None and config.ga.seed == 0 and config.ga.population == 2
+
+
+@pytest.mark.parametrize("extra, stop", [
+    ("ga.generations = 1000\n", r"ceiling reached at generation (\d+) of 1000"),
+    ("ga.population = 2\nga.generations = 1\n", r"below the ceiling F=1\.0000 after all 1 generations"),
+])
+def test_train_log_says_where_the_ga_stopped(dataset, trained, tmp_path, capsys, extra, stop):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    cfg = tmp_path / "nn.cfg"
+    cfg.write_text(CONFIG.replace("classifier.kind = svm", "classifier.kind = nn\nga.enabled = 1") + extra)
+    capsys.readouterr()
+    assert run_stage(["train", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                      "--out", out, "--sequences", "1,3"]) == 0
+    line = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("GA thresholds")]
+    assert len(line) == 1
+    match = re.fullmatch(r"GA thresholds tuned: best F=(\d\.\d{4}), " + stop, line[0])
+    assert match, line[0]
+    if match.groups()[1:]:
+        assert match[1] == "1.0000" and 1 <= int(match[2]) < 1000
+
+
 def test_readme_configuration_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -481,6 +546,14 @@ def test_jobs_below_one_is_usage_error(dataset, tmp_path, monkeypatch, capsys, j
     assert rc == 1
     assert "--jobs must be >= 1" in capsys.readouterr().err
     assert started == [] and not (tmp_path / "out").exists()
+
+
+def test_negative_seed_override_is_usage_error(dataset, tmp_path, capsys):
+    rc = run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config",
+                    dataset / "pipeline.cfg", "--out", tmp_path / "out", "--seed", "-1"])
+    assert rc == 1
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
+from placevision import distances
 from placevision.distances import (
     INFINITE_DISTANCE,
     bhattacharyya,
@@ -317,3 +318,42 @@ def test_pairwise_peak_memory_is_bounded(mid):
         tracemalloc.stop()
     # a full (200, 400, 1000) float64 broadcast would need 640 MB
     assert peak < 64 * 2**20, f"{mid}: peak {peak / 2**20:.0f} MB"
+
+
+def dense_jeffrey_block(q, g):
+    """Reference: the Jeffrey terms of every bin, occupied or not."""
+    a = q[:, None, :]
+    m = a + g
+    m = np.where(m > 0, m, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = np.where(a > 0, a * np.log(np.where(a > 0, 2 * a, 1) / m), 0.0)
+        tb = np.where(g > 0, g * np.log(np.where(g > 0, 2 * g, 1) / m), 0.0)
+    return (ta + tb).sum(axis=2)
+
+
+def _sparse_rows(rng, n, d, occupied):
+    """Rows that use only the bins in ``occupied``, each bin with its own
+    fill rate, a few all-zero rows, and -0.0 in some empty bins."""
+    x = np.zeros((n, d))
+    for i in range(n):
+        if rng.random() < 0.15:
+            continue
+        keep = occupied[rng.random(occupied.size) < rng.random()]
+        x[i, keep] = rng.random(keep.size)
+    x[(x == 0) & (rng.random((n, d)) < 0.3)] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 1000 * 7, 2 << 20])
+def test_jeffrey_equals_the_every_bin_definition_byte_for_byte(monkeypatch, block_bytes):
+    monkeypatch.setattr(distances, "_BLOCK_BYTES", block_bytes)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        nq, ng, d = int(rng.integers(1, 20)), int(rng.integers(1, 30)), int(rng.choice([1, 7, 180, 1000]))
+        occupied = np.flatnonzero(rng.random(d) < rng.choice([0.0, 0.02, 0.2, 1.0]))
+        q, g = _sparse_rows(rng, nq, d, occupied), _sparse_rows(rng, ng, d, occupied)
+        got = pairwise_distances("jeffrey", q, g)
+        with monkeypatch.context() as m:
+            m.setitem(distances._BLOCKS, "jeffrey", (dense_jeffrey_block, {}))
+            want = pairwise_distances("jeffrey", q, g)
+        assert got.tobytes() == want.tobytes(), (seed, block_bytes)

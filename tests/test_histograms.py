@@ -177,20 +177,58 @@ def _sparse(n, nonzero, seed):
     return bins
 
 
-@pytest.mark.parametrize(
-    "h",
-    [
-        normalize_l1(FeatureHistogram(_sparse(1000, 30, 1), "10x10x10")),
-        normalize_l1(FeatureHistogram(_sparse(1800, 50, 2), "18x10x10")),
-        FeatureHistogram(_sparse(1000, 30, 3), "10x10x10"),
-        normalize_l1(FeatureHistogram(np.random.default_rng(4).random(27), "3x3x3")),
-        FeatureHistogram(np.array([0.0, -0.0, 1e-300, 5e-324, 1e300, 0.1, -0.0]), "generic:7"),
-        FeatureHistogram(np.array([-0.0, 0.0, 2.0]), "bovw:3", normalized=False),
-        FeatureHistogram(np.zeros(4), "generic:4"),
-        FeatureHistogram(np.full(4, -0.0), "generic:4"),
-    ],
-)
+SPARSE_CASES = [
+    normalize_l1(FeatureHistogram(_sparse(1000, 30, 1), "10x10x10")),
+    normalize_l1(FeatureHistogram(_sparse(1800, 50, 2), "18x10x10")),
+    FeatureHistogram(_sparse(1000, 30, 3), "10x10x10"),
+    normalize_l1(FeatureHistogram(np.random.default_rng(4).random(27), "3x3x3")),
+    FeatureHistogram(np.array([0.0, -0.0, 1e-300, 5e-324, 1e300, 0.1, -0.0]), "generic:7"),
+    FeatureHistogram(np.array([-0.0, 0.0, 2.0]), "bovw:3", normalized=False),
+    FeatureHistogram(np.zeros(4), "generic:4"),
+    FeatureHistogram(np.full(4, -0.0), "generic:4"),
+]
+
+
+@pytest.mark.parametrize("h", SPARSE_CASES)
 def test_csv_writer_matches_the_every_bin_reference(tmp_path, h):
     write_histogram_csv(h, tmp_path / "got.csv")
     write_every_bin(h, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def read_every_line(path):
+    """Reference: parse every non-empty value line with float()."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return np.array([float(v) for v in lines[1:] if v], dtype=np.float64)
+
+
+@pytest.mark.parametrize("h", SPARSE_CASES)
+def test_csv_reader_matches_the_every_line_reference(tmp_path, h):
+    write_histogram_csv(h, tmp_path / "h.csv")
+    got = read_histogram_csv(tmp_path / "h.csv")
+    assert got.bins.tobytes() == read_every_line(tmp_path / "h.csv").tobytes() == h.bins.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0\n\n-0\n1.5\n\n0\n",
+        "\n0\n0\n-0\n2.5e-320\n",
+        "0.0\n-0.0\n00\n 1\n",
+        "1e308\n0\n-0\n0\n\n\n",
+    ],
+)
+def test_csv_reader_skips_blank_lines_as_the_reference_does(tmp_path, body):
+    path = tmp_path / "h.csv"
+    path.write_text("axes=generic:4,normalized=0\n" + body, encoding="utf-8")
+    assert read_histogram_csv(path).bins.tobytes() == read_every_line(path).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["zero", "0,5", "--0", "0x1"])
+def test_csv_reader_rejects_a_malformed_value(tmp_path, bad):
+    path = tmp_path / "h.csv"
+    path.write_text(f"axes=generic:3,normalized=0\n0\n{bad}\n-0\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_every_line(path)
+    with pytest.raises(ValueError):
+        read_histogram_csv(path)

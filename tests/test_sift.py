@@ -618,6 +618,27 @@ def test_extraction_keeps_the_configured_octaves_size_error():
         assert keypoints.shape[1] == 4
 
 
+@pytest.mark.parametrize("field, value", [
+    ("orientation_sigma_factor", 0.0),
+    ("edge_ratio", 0.5),
+    ("contrast_threshold", -1.0),
+    ("contrast_threshold", math.inf),
+    ("sigma0", math.nan),
+    ("octaves", 2.5),
+    ("scales_per_octave", 1.5),
+])
+def test_bad_sift_parameter_is_an_error_naming_its_field(field, value):
+    # before the check, orientation_sigma_factor = 0 returned no features
+    # with a divide-by-zero warning instead of failing
+    a = np.random.default_rng(0).random((96, 96))
+    rgb = Image(np.repeat(a[:, :, None], 3, axis=2))
+    params = SiftParams(**{field: value})
+    for extract, img in ((extract_sift, GrayImage(a)), (extract_rgb_sift, rgb),
+                         (lambda i, p: extract_asift(i, p, (1.0,), 90.0), GrayImage(a))):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            extract(img, params)
+
+
 def test_describable_keeps_only_inside_keypoints_and_their_shadows():
     # a window of scale 19 / (0.75 * 7.5 * sqrt 2) has a half-extent of
     # 20 px (19 px of samples plus one of interpolation), so on a 64-px
