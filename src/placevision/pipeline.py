@@ -39,6 +39,8 @@ from .classify import (
 from .distances import parse_measure
 from .evaluate import build_report, write_csv, write_report
 from .histograms import (
+    DEFAULT_HSV_BINS,
+    DEFAULT_RGB_BINS,
     hsv_histogram,
     normalize_l1,
     read_histogram_csv,
@@ -93,7 +95,7 @@ def read_manifest(path) -> Manifest:
     p = Path(path)
     try:
         lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest {p}: {exc}") from exc
     if not lines or lines[0].split("\t") != ["path", "label", "sequence"]:
         raise DataError(f"{p}: manifest must start with 'path\\tlabel\\tsequence'")
@@ -122,48 +124,112 @@ def read_manifest(path) -> Manifest:
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULT_MEASURES = {"rgb": "jeffrey", "hsv": "bhattacharyya", "bovw": "minkowski:1"}
+# The default measure and bin grid of each feature part, in the default
+# order of features.parts; a bovw part has no grid.
+_PARTS = {
+    "rgb": {"measure": "jeffrey", "bins": DEFAULT_RGB_BINS},
+    "hsv": {"measure": "bhattacharyya", "bins": DEFAULT_HSV_BINS},
+    "bovw": {"measure": "minkowski:1"},
+}
 
-# The rule of each numeric config key; a sift.* or ga.* key takes the rule
-# of its SiftParams or GaParams field.  classifier.rbf_sigma also takes auto.
-_NUMERIC_KEYS = {
-    "seed": SEED,
+
+def _part_names(text: str) -> Tuple[str, ...]:
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    if not names:
+        raise ValueError("no part listed")
+    for i, name in enumerate(names):
+        if name not in _PARTS:
+            raise ValueError(f"unknown feature part {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"part {name!r} listed twice")
+    return names
+
+
+def _bin_grid(text: str) -> Tuple[int, int, int]:
+    try:
+        bins = tuple(int(v) for v in text.lower().split("x"))
+    except ValueError:
+        bins = ()
+    if len(bins) != 3 or min(bins) < 1:
+        raise ValueError(f"bad bin grid {text!r}")
+    return bins
+
+
+def _measure(text: str) -> str:
+    parse_measure(text)  # ValueError for an unknown id or a bad order
+    return text.lower()
+
+
+# Every config key and what it accepts: a Rule, a tuple of choices (a dict
+# when each choice stands for a value), or a function from the text to the
+# value that raises ValueError.  A sift.* or ga.* key takes the rule of its
+# SiftParams or GaParams field.
+_CONFIG_KEYS = {
+    "features.parts": _part_names,
+    "rgb.bins": _bin_grid,
+    "hsv.bins": _bin_grid,
+    "rgb.measure": _measure,
+    "hsv.measure": _measure,
+    "bovw.measure": _measure,
     "rgb.weight": NON_NEGATIVE,
     "hsv.weight": NON_NEGATIVE,
     "bovw.weight": NON_NEGATIVE,
     "bovw.k": COUNT,
+    "bovw.feature": ("sift", "asift", "rgbsift"),
+    "vocab.distance": _measure,
+    "vocab.builder": ("kmeans", "incremental"),
     "vocab.threshold": NON_NEGATIVE,
     "vocab.max_iter": COUNT,
     "vocab.sample_cap": COUNT,
+    "classifier.kind": ("svm", "nn"),
+    "classifier.kernel": ("linear", "rbf", "chi2"),
     "classifier.c": POSITIVE,
-    "classifier.rbf_sigma": POSITIVE,
+    "classifier.rbf_sigma": POSITIVE,  # or auto
+    "ga.enabled": {"0": False, "1": True, "true": True, "false": False, "yes": True, "no": False},
     "ga.validation_fraction": Rule(float, "a number in (0, 1)", lambda v: 0 < v < 1),
+    "seed": SEED,
     **{f"sift.{name}": rule for name, rule in SIFT_RULES.items()},
     **{f"ga.{name}": GA_RULES[name] for name in ("population", "mutation_rate", "crossover_rate", "generations")},
 }
 
-# Every config key; a tuple lists the only values its key accepts.
-_CONFIG_KEYS = {
-    **dict.fromkeys(_NUMERIC_KEYS),
-    **dict.fromkeys(
-        "features.parts rgb.bins rgb.measure hsv.bins hsv.measure bovw.measure vocab.distance".split()
-    ),
-    "bovw.feature": ("sift", "asift", "rgbsift"),
-    "vocab.builder": ("kmeans", "incremental"),
-    "classifier.kind": ("svm", "nn"),
-    "classifier.kernel": ("linear", "rbf", "chi2"),
-    "ga.enabled": ("0", "1", "true", "false", "yes", "no"),
+# The PipelineConfig field each top-level key sets; every other key sets the
+# PartConfig, SiftParams or GaParams field named after its dot.
+_FIELDS = {
+    "features.parts": "parts",
+    "vocab.distance": "vocab_distance",
+    "vocab.builder": "vocab_builder",
+    "vocab.threshold": "vocab_threshold",
+    "vocab.max_iter": "vocab_max_iter",
+    "vocab.sample_cap": "vocab_sample_cap",
+    "classifier.kind": "classifier",
+    "classifier.kernel": "kernel",
+    "classifier.rbf_sigma": "kernel_sigma",
+    "classifier.c": "svm_c",
+    "ga.enabled": "ga_enabled",
+    "ga.validation_fraction": "ga_validation_fraction",
+    "seed": "seed",
 }
+
+
+def _check_choice(key: str, value) -> None:
+    choices = _CONFIG_KEYS[key]
+    if value not in choices:
+        raise DataError(f"{key} must be one of {' | '.join(choices)}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class PartConfig:
-    name: str  # rgb | hsv | bovw
-    measure_id: str
+    name: str  # a key of _PARTS
+    measure: str
     weight: float
     bins: Tuple[int, int, int] = (0, 0, 0)  # rgb/hsv grids
-    k: int = 100  # bovw vocabulary size
-    feature: str = "sift"  # bovw source: sift | asift | rgbsift
+    k: int = bovw_mod.DEFAULT_K  # bovw vocabulary size
+    feature: str = "sift"  # bovw descriptor source
+
+    def __post_init__(self):
+        if self.name not in _PARTS:
+            raise DataError(f"unknown feature part {self.name!r}")
+        _check_choice("bovw.feature", self.feature)
 
 
 @dataclass(frozen=True)
@@ -175,7 +241,7 @@ class PipelineConfig:
     vocab_max_iter: int = 40
     vocab_sample_cap: int = 200_000
     sift: SiftParams = SiftParams()
-    classifier: str = "svm"  # svm | nn
+    classifier: str = "svm"
     kernel: str = "rbf"
     kernel_sigma: Optional[float] = None  # None = median heuristic
     svm_c: float = 10.0
@@ -183,6 +249,11 @@ class PipelineConfig:
     ga: GaParams = GaParams()
     ga_validation_fraction: float = 0.3
     seed: int = 7
+
+    def __post_init__(self):
+        for key, field in _FIELDS.items():
+            if isinstance(_CONFIG_KEYS[key], tuple):
+                _check_choice(key, getattr(self, field))
 
     def part(self, name: str) -> Optional[PartConfig]:
         for p in self.parts:
@@ -199,54 +270,34 @@ class PipelineConfig:
             else:
                 dim = p.bins[0] * p.bins[1] * p.bins[2]
                 extra = ""
-            bits.append(f"{p.name}{extra}:{dim}:{p.measure_id}:{p.weight:.6g}")
+            bits.append(f"{p.name}{extra}:{dim}:{p.measure}:{p.weight:.6g}")
         return "|".join(bits)
 
 
-def _parse_bins(kv: Dict[str, str], key: str, default: str) -> Tuple[int, int, int]:
-    text = kv.get(key, default)
-    try:
-        parts = [int(v) for v in text.lower().split("x")]
-    except ValueError:
-        parts = []
-    if len(parts) != 3 or min(parts) < 1:
-        raise DataError(f"{key}: bad bin grid {text!r}")
-    return tuple(parts)
-
-
-def _checked_measure(kv: Dict[str, str], key: str, default: str) -> str:
-    measure = kv.get(key, default)
-    try:
-        parse_measure(measure)
-    except ValueError as exc:
-        raise DataError(f"{key}: {exc}") from exc
-    return measure
-
-
-def _checked_numbers(kv: Dict[str, str]) -> Dict[str, float]:
-    """The value of every numeric key set in ``kv``; DataError names the
-    first key whose text breaks its rule."""
-    values = {}
-    for key, text in kv.items():
-        rule = _NUMERIC_KEYS.get(key)
-        if rule is None or (key == "classifier.rbf_sigma" and text == "auto"):
-            continue
+def _value(key: str, text: str):
+    """The value of config key ``key`` set to ``text``; DataError names the key."""
+    accepts = _CONFIG_KEYS[key]
+    if isinstance(accepts, (tuple, dict)):
+        _check_choice(key, text)
+        return accepts[text] if isinstance(accepts, dict) else text
+    if key == "classifier.rbf_sigma" and text == "auto":
+        return None
+    if isinstance(accepts, Rule):
         try:
-            values[key] = rule.parse(text)
+            return accepts.parse(text)
         except ValueError:
-            what = ("auto or " if key == "classifier.rbf_sigma" else "") + rule.text
+            what = ("auto or " if key == "classifier.rbf_sigma" else "") + accepts.text
             raise DataError(f"{key} must be {what}, got {text!r}") from None
-    return values
-
-
-def _section(num: Dict[str, float], section: str) -> Dict[str, float]:
-    """The values set under ``section.``, keyed by field name."""
-    prefix = f"{section}."
-    return {k[len(prefix):]: v for k, v in num.items() if k.startswith(prefix)}
+    try:
+        return accepts(text)
+    except ValueError as exc:
+        raise DataError(f"{key}: {exc}") from None
 
 
 def parse_config_text(text: str) -> PipelineConfig:
-    kv: Dict[str, str] = {}
+    """The configuration of ``text``; each key that is set goes to its field,
+    and every other field keeps its dataclass (or ``_PARTS``) default."""
+    fields: Dict[str, dict] = {section: {} for section in ("", *_PARTS, "sift", "ga")}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -257,74 +308,35 @@ def parse_config_text(text: str) -> PipelineConfig:
         key, value = key.strip().lower(), value.strip()
         if key not in _CONFIG_KEYS:
             raise DataError(f"config line {ln}: unknown key {key!r}")
-        choices = _CONFIG_KEYS[key]
-        if choices and value not in choices:
-            raise DataError(f"config line {ln}: {key} must be one of {' | '.join(choices)}, got {value!r}")
-        kv[key] = value
+        try:
+            value = _value(key, value)
+        except DataError as exc:
+            raise DataError(f"config line {ln}: {exc}") from None
+        section, _, field = _FIELDS.get(key, key).rpartition(".")
+        fields[section][field] = value
 
-    num = _checked_numbers(kv)
-    part_names = [p.strip() for p in kv.get("features.parts", "rgb,hsv,bovw").split(",") if p.strip()]
-    if not part_names:
-        raise DataError("features.parts must list at least one part")
-    weights = []
-    for name in part_names:
-        if name not in ("rgb", "hsv", "bovw"):
-            raise DataError(f"unknown feature part {name!r}")
-        weights.append(num.get(f"{name}.weight", 1.0 / len(part_names)))
+    top = fields.pop("")
+    names = top.pop("parts", tuple(_PARTS))
+    weights = [fields[name].pop("weight", 1.0 / len(names)) for name in names]
     total = sum(weights)
     if total <= 0:
         raise DataError("part weights must sum to a positive value")
-    weights = [w / total for w in weights]
-
-    parts = []
-    for name, weight in zip(part_names, weights):
-        measure = _checked_measure(kv, f"{name}.measure", _DEFAULT_MEASURES[name])
-        if name == "rgb":
-            parts.append(PartConfig(name, measure, weight, bins=_parse_bins(kv, "rgb.bins", "10x10x10")))
-        elif name == "hsv":
-            parts.append(PartConfig(name, measure, weight, bins=_parse_bins(kv, "hsv.bins", "18x10x10")))
-        else:
-            parts.append(
-                PartConfig(
-                    name,
-                    measure,
-                    weight,
-                    k=num.get("bovw.k", 100),
-                    feature=kv.get("bovw.feature", "sift"),
-                )
-            )
-
-    seed = num.get("seed", 7)
-    ga_fields = _section(num, "ga")
-    validation_fraction = ga_fields.pop("validation_fraction", 0.3)
-    ga = GaParams(**ga_fields, seed=seed)
+    parts = tuple(
+        PartConfig(name, weight=w / total, **{**_PARTS[name], **fields[name]})
+        for name, w in zip(names, weights)
+    )
+    ga = GaParams(**fields["ga"], seed=top.get("seed", PipelineConfig.seed))
     try:
         ga.check()  # the population must also hold the elite
     except ValueError as exc:
         raise DataError(f"ga.{exc}") from None
-    return PipelineConfig(
-        parts=tuple(parts),
-        vocab_distance=_checked_measure(kv, "vocab.distance", "euclidean"),
-        vocab_builder=kv.get("vocab.builder", "kmeans"),
-        vocab_threshold=num.get("vocab.threshold", 0.5),
-        vocab_max_iter=num.get("vocab.max_iter", 40),
-        vocab_sample_cap=num.get("vocab.sample_cap", 200_000),
-        sift=SiftParams(**_section(num, "sift")),
-        classifier=kv.get("classifier.kind", "svm"),
-        kernel=kv.get("classifier.kernel", "rbf"),
-        kernel_sigma=num.get("classifier.rbf_sigma"),
-        svm_c=num.get("classifier.c", 10.0),
-        ga_enabled=kv.get("ga.enabled", "0") in ("1", "true", "yes"),
-        ga=ga,
-        ga_validation_fraction=validation_fraction,
-        seed=seed,
-    )
+    return PipelineConfig(parts, sift=SiftParams(**fields["sift"]), ga=ga, **top)
 
 
 def read_config(path) -> PipelineConfig:
     try:
         return parse_config_text(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -367,22 +379,17 @@ def _extract_one(args) -> Tuple[str, Optional[str]]:
             return image_path, None  # cached, inputs unchanged
         img = load_pnm(resolved)
         for part in config.parts:
-            if part.name == "rgb":
-                h = normalize_l1(rgb_histogram(img, *part.bins))
-                write_histogram_csv(h, out / f"{stem}.rgb.csv")
-            elif part.name == "hsv":
-                h = normalize_l1(hsv_histogram(img, *part.bins))
-                write_histogram_csv(h, out / f"{stem}.hsv.csv")
-            elif part.name == "bovw":
-                if part.feature == "sift":
-                    feats = extract_sift(to_grayscale(img), config.sift)
-                elif part.feature == "asift":
-                    feats = extract_asift(to_grayscale(img), config.sift)
-                elif part.feature == "rgbsift":
+            if part.name == "bovw":
+                if part.feature == "rgbsift":
                     feats = extract_rgb_sift(img, config.sift)
                 else:
-                    raise DataError(f"unknown bovw feature {part.feature!r}")
+                    extract = extract_sift if part.feature == "sift" else extract_asift
+                    feats = extract(to_grayscale(img), config.sift)
                 write_descriptors(feats, out / f"{stem}.desc")
+            else:
+                histogram = rgb_histogram if part.name == "rgb" else hsv_histogram
+                h = normalize_l1(histogram(img, *part.bins))
+                write_histogram_csv(h, out / f"{stem}.{part.name}.csv")
         hash_file.write_text(fingerprint)
         return image_path, None
     except Exception as exc:  # per-image failures degrade to warnings
@@ -473,10 +480,8 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         vocab = bovw_mod.kmeans(
             descriptors, part.k, config.vocab_distance, config.seed, config.vocab_max_iter
         )
-    elif config.vocab_builder == "incremental":
-        vocab = bovw_mod.incremental_vocab(descriptors, config.vocab_threshold, config.vocab_distance)
     else:
-        raise DataError(f"unknown vocabulary builder {config.vocab_builder!r}")
+        vocab = bovw_mod.incremental_vocab(descriptors, config.vocab_threshold, config.vocab_distance)
     path = Path(out_dir) / "vocab.bin"
     bovw_mod.write_vocabulary(vocab, path)
     costs = vocab.cost_history  # empty for the incremental builder
@@ -528,7 +533,7 @@ def load_composite(row: ManifestRow, config: PipelineConfig, out_dir) -> Composi
         if not path.exists():
             raise DataError(f"missing {name} artifact for {row.path}: {path}")
         hist = read_histogram_csv(path)
-        parts.append(CompositePart(name, hist.bins, part.measure_id, part.weight))
+        parts.append(CompositePart(name, hist.bins, part.measure, part.weight))
     return CompositeFeature(tuple(parts))
 
 
@@ -549,16 +554,12 @@ def load_labeled_features(
 
 
 def _resolve_kernel(config: PipelineConfig, vectors: np.ndarray) -> KernelSpec:
-    if config.kernel == "rbf":
-        sigma = config.kernel_sigma
-        if sigma is None:
-            sigma = median_heuristic_sigma(vectors, seed=config.seed)
-        return KernelSpec("rbf", sigma=sigma)
-    if config.kernel == "linear":
-        return KernelSpec("linear")
-    if config.kernel == "chi2":
-        return KernelSpec("chi2")
-    raise DataError(f"unknown kernel {config.kernel!r}")
+    if config.kernel != "rbf":
+        return KernelSpec(config.kernel)
+    sigma = config.kernel_sigma
+    if sigma is None:
+        sigma = median_heuristic_sigma(vectors, seed=config.seed)
+    return KernelSpec("rbf", sigma=sigma)
 
 
 def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -> Path:
@@ -576,7 +577,7 @@ def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         spec = _resolve_kernel(config, vectors)
         svm = ova_train(vectors, labels, spec, config.svm_c)
         model = ClassifierModel("svm", config_id, svm.labels, svm=svm)
-    elif config.classifier == "nn":
+    else:
         gallery = [(row.label, feat) for (row, feat) in labeled]
         class_labels = sorted(set(labels))
         if config.ga_enabled:
@@ -599,8 +600,6 @@ def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         else:
             thresholds = ThresholdSet.permissive(class_labels)
         model = ClassifierModel("nn", config_id, class_labels, gallery=gallery, thresholds=thresholds)
-    else:
-        raise DataError(f"unknown classifier kind {config.classifier!r}")
 
     path = Path(out_dir) / "model.bin"
     save_model(model, path)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import re
 import shutil
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -393,11 +394,140 @@ def test_config_keys_and_parameter_fields_share_one_rule():
     from placevision.sift import SIFT_RULES
 
     for name, rule in SIFT_RULES.items():
-        assert pipeline._NUMERIC_KEYS[f"sift.{name}"] is rule
+        assert pipeline._CONFIG_KEYS[f"sift.{name}"] is rule
     for name in ("population", "mutation_rate", "crossover_rate", "generations"):
-        assert pipeline._NUMERIC_KEYS[f"ga.{name}"] is GA_RULES[name]
+        assert pipeline._CONFIG_KEYS[f"ga.{name}"] is GA_RULES[name]
     config = parse_config_text("classifier.rbf_sigma = auto\nseed = 0\nga.population = 2\n")
     assert config.kernel_sigma is None and config.ga.seed == 0 and config.ga.population == 2
+
+
+def test_empty_config_is_the_dataclass_defaults():
+    from placevision.classify import GaParams
+    from placevision.histograms import DEFAULT_HSV_BINS, DEFAULT_RGB_BINS
+    from placevision.pipeline import PartConfig, PipelineConfig
+
+    third = 1.0 / 3.0
+    parts = (
+        PartConfig("rgb", "jeffrey", third, bins=DEFAULT_RGB_BINS),
+        PartConfig("hsv", "bhattacharyya", third, bins=DEFAULT_HSV_BINS),
+        PartConfig("bovw", "minkowski:1", third),
+    )
+    # the GA draws from the config seed
+    assert parse_config_text("") == PipelineConfig(parts, ga=GaParams(seed=PipelineConfig.seed))
+
+
+def _fields(config):
+    """Every leaf value of a config, keyed by where it lives."""
+    flat = {"features.parts": tuple(p.name for p in config.parts)}
+    for p in config.parts:
+        flat.update({f"{p.name}.{k}": v for k, v in asdict(p).items()})
+    for name, value in asdict(config).items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{k}": v for k, v in value.items()})
+        elif name != "parts":
+            flat[name] = value
+    return flat
+
+
+# A value other than the default for every config key.
+NON_DEFAULT = {
+    "features.parts": "bovw,hsv,rgb",
+    "rgb.bins": "4x4x4",
+    "hsv.bins": "8x4x4",
+    "rgb.measure": "chi2",
+    "hsv.measure": "kl",
+    "bovw.measure": "euclidean",
+    "rgb.weight": "2",
+    "hsv.weight": "2",
+    "bovw.weight": "2",
+    "bovw.k": "12",
+    "bovw.feature": "asift",
+    "vocab.distance": "minkowski:1",
+    "vocab.builder": "incremental",
+    "vocab.threshold": "0.25",
+    "vocab.max_iter": "7",
+    "vocab.sample_cap": "1000",
+    "classifier.kind": "nn",
+    "classifier.kernel": "chi2",
+    "classifier.c": "2.5",
+    "classifier.rbf_sigma": "0.5",
+    "ga.enabled": "yes",
+    "ga.validation_fraction": "0.5",
+    "ga.population": "20",
+    "ga.mutation_rate": "0.5",
+    "ga.crossover_rate": "0.5",
+    "ga.generations": "9",
+    "seed": "3",
+    "sift.octaves": "3",
+    "sift.scales_per_octave": "3",
+    "sift.sigma0": "1.2",
+    "sift.contrast_threshold": "0.05",
+    "sift.edge_ratio": "12",
+    "sift.orientation_sigma_factor": "1.6",
+}
+
+
+def test_each_config_key_sets_exactly_one_field_of_its_own():
+    assert set(NON_DEFAULT) == set(pipeline._CONFIG_KEYS)
+    base = _fields(parse_config_text(""))
+    owner = {}
+    for key, text in NON_DEFAULT.items():
+        changed = _fields(parse_config_text(f"{key} = {text}\n"))
+        assert changed.keys() == base.keys()
+        diff = {name for name in base if changed[name] != base[name]}
+        if key.endswith(".weight"):  # weights are renormalized to sum 1
+            assert diff == {"rgb.weight", "hsv.weight", "bovw.weight"}
+        elif key == "seed":  # the GA draws from the config seed
+            assert diff == {"seed", "ga.seed"}
+        else:
+            assert len(diff) == 1, (key, diff)
+            owner.setdefault(diff.pop(), []).append(key)
+    assert {field: keys for field, keys in owner.items() if len(keys) > 1} == {}
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda c: pipeline.PipelineConfig(c.parts, vocab_builder="kmedoids"), "vocab.builder must be one of"),
+    (lambda c: replace(c, classifier="knn"), "classifier.kind must be one of"),
+    (lambda c: replace(c, kernel="poly"), "classifier.kernel must be one of"),
+    (lambda c: replace(c.parts[2], feature="surf"), "bovw.feature must be one of"),
+    (lambda c: replace(c.parts[0], name="gist"), "unknown feature part 'gist'"),
+])
+def test_hand_built_config_with_unknown_choice_is_data_error(build, named):
+    with pytest.raises(pipeline.DataError, match=named):
+        build(parse_config_text(""))
+
+
+def test_repeated_part_is_data_error():
+    with pytest.raises(pipeline.DataError, match="config line 1: features.parts: part 'rgb' listed twice"):
+        parse_config_text("features.parts = rgb,hsv,rgb\n")
+
+
+@pytest.mark.parametrize("line", ["hsv.measure = bogus", "hsv.bins = 1x2", "bovw.k = 0"])
+def test_every_set_key_is_checked_whether_or_not_its_part_is_listed(line):
+    key = line.split(" ")[0]
+    with pytest.raises(pipeline.DataError, match=f"config line 2: {re.escape(key)}"):
+        parse_config_text(f"features.parts = rgb\n{line}\n")
+
+
+def test_measure_ids_are_stored_as_the_measure_reads_them():
+    config = parse_config_text("features.parts = rgb,bovw\nrgb.measure = Jeffrey\nbovw.measure = MINKOWSKI:1\n"
+                               "vocab.distance = Euclidean\n")
+    assert config.config_id() == parse_config_text("features.parts = rgb,bovw\n").config_id()
+    assert config.vocab_distance == "euclidean"
+
+
+@pytest.mark.parametrize("which", ["config", "manifest"])
+def test_non_utf8_config_or_manifest_is_data_error_naming_the_file(dataset, tmp_path, capsys, which):
+    files = {"config": dataset / "pipeline.cfg", "manifest": dataset / "manifest.tsv"}
+    bad = tmp_path / f"bad.{which}"
+    bad.write_bytes(files[which].read_bytes() + b"\xff\n")
+    files[which] = bad
+    out = tmp_path / "out"
+    rc = run_stage(["features", "--manifest", files["manifest"], "--config", files["config"], "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {which} {bad}" in err and "utf-8" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, stop", [
@@ -429,6 +559,19 @@ def test_readme_configuration_example_parses():
     assert config.classifier == "svm" and config.kernel == "rbf"
     assert config.kernel_sigma is None  # auto
     assert not config.ga_enabled and config.seed == 7
+
+
+def test_readme_configuration_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1].split("\n## ", 1)[0]
+    assert [key for key in pipeline._CONFIG_KEYS if f"`{key}`" not in section] == []
+    table = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    default = parse_config_text("")
+    for key_cell, _, default_cell in table:
+        keys, defaults = re.findall(r"`([^`]*)`", key_cell), re.findall(r"`([^`]*)`", default_cell)
+        assert len(defaults) in (0, len(keys)), key_cell  # no default stated: the part weights
+        for key, text in zip(keys, defaults):
+            assert parse_config_text(f"{key} = {text}\n") == default, key
 
 
 @pytest.fixture(scope="module")
