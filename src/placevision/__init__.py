@@ -14,17 +14,15 @@ from .sift import SiftParams, extract_rgb_sift, extract_sift
 from .asift import AffineView, asift_views, extract_asift
 from .bovw import BowVector, Vocabulary, encode_image, incremental_vocab, kmeans, quantize
 from .classify import (
-    CompositeFeature,
-    CompositePart,
+    Composite,
     GaParams,
     KernelSpec,
     SvmModel,
     ThresholdSet,
     UNKNOWN,
-    composite_distance,
     ga_optimize_thresholds,
-    kernel,
-    nn_classify,
+    nn_decide,
+    nn_distances,
     ova_predict,
     ova_train,
     svm_train,
@@ -36,8 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineView",
     "BowVector",
-    "CompositeFeature",
-    "CompositePart",
+    "Composite",
     "EvalReport",
     "FeatureHistogram",
     "GaParams",
@@ -53,7 +50,6 @@ __all__ = [
     "Vocabulary",
     "asift_views",
     "build_report",
-    "composite_distance",
     "confusion_matrix",
     "emd",
     "encode_image",
@@ -64,11 +60,11 @@ __all__ = [
     "get_measure",
     "hsv_histogram",
     "incremental_vocab",
-    "kernel",
     "kmeans",
     "load_pnm",
     "metrics",
-    "nn_classify",
+    "nn_decide",
+    "nn_distances",
     "normalize_l1",
     "ova_predict",
     "ova_train",

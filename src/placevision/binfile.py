@@ -43,7 +43,10 @@ class Reader:
 
     def array(self, dtype, count: int) -> np.ndarray:
         """Read-only view of the next ``count`` items of ``dtype``."""
-        dt = np.dtype(dtype)
+        try:
+            dt = np.dtype(dtype)
+        except ValueError:  # a record size read from the file that numpy cannot hold
+            raise ValueError(f"{self.path}: bad record layout in {self.what} file") from None
         return np.frombuffer(self.data, dt, count, self._take(dt.itemsize * count))
 
     def end(self) -> None:

@@ -9,6 +9,10 @@ Two classifier families share the model container:
   per-class rejection thresholds (optionally tuned by a genetic
   search); a query whose nearest distance exceeds the winning class
   threshold is answered UNKNOWN.
+
+A set of composite features is one ``Composite``: one matrix per part (a
+colour or visual-word histogram per image), and the composite distance is
+the weighted sum of each part's distances under its own measure.
 """
 
 from __future__ import annotations
@@ -52,11 +56,6 @@ class KernelSpec:
         if kind == "chi2":
             return KernelSpec("chi2")
         raise ValueError(f"unknown kernel {text!r}")
-
-
-def kernel(x, y, spec: KernelSpec) -> float:
-    """Evaluate one kernel entry K(x, y)."""
-    return float(gram_matrix(x, y, spec)[0, 0])
 
 
 def gram_matrix(xa: np.ndarray, xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -276,45 +275,45 @@ def ova_predict(model: SvmModel, x) -> Tuple[str, np.ndarray]:
 # composite features and thresholded nearest neighbor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompositePart:
-    name: str
-    vector: np.ndarray
-    measure_id: str
-    weight: float
+@dataclass(frozen=True, eq=False)
+class Composite:
+    """Feature rows made of weighted parts.
+
+    ``parts`` states each part's (name, measure id, weight) once;
+    ``matrices`` holds one read-only (n, d) float64 matrix per part, row i
+    of every matrix describing item i.  A matrix that is already float64
+    in C order is frozen in place rather than copied.  A labelled set is a
+    (labels, Composite) pair.
+    """
+
+    parts: Tuple[Tuple[str, str, float], ...]
+    matrices: Tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.vector, dtype=np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "vector", v)
-        if self.weight < 0:
-            raise ValueError("part weight must be >= 0")
+        parts = tuple((str(name), str(measure), float(weight)) for name, measure, weight in self.parts)
+        matrices = tuple(np.ascontiguousarray(m, dtype=np.float64) for m in self.matrices)
+        if not parts or len(matrices) != len(parts):
+            raise ValueError("a composite needs one matrix for each of at least one part")
+        weights = [weight for _, _, weight in parts]
+        if not (all(w >= 0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-6):
+            raise ValueError(f"part weights must be >= 0 and sum to 1, got {weights}")
+        if any(m.ndim != 2 for m in matrices) or len({len(m) for m in matrices}) != 1:
+            raise ValueError("every part needs an (n, d) matrix with the same n")
+        for m in matrices:
+            m.flags.writeable = False
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "matrices", matrices)
 
+    def __len__(self) -> int:
+        return len(self.matrices[0])
 
-@dataclass(frozen=True)
-class CompositeFeature:
-    parts: Tuple[CompositePart, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("composite feature needs at least one part")
-        total = sum(p.weight for p in self.parts)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"part weights must sum to 1, got {total}")
-
-    def config_id(self) -> str:
-        return "|".join(
-            f"{p.name}:{len(p.vector)}:{p.measure_id}:{p.weight:.6g}" for p in self.parts
-        )
+    def take(self, index) -> "Composite":
+        """The rows at ``index`` (an index array or a slice)."""
+        return Composite(self.parts, tuple(m[index] for m in self.matrices))
 
     def concatenated(self) -> np.ndarray:
-        """Weight-scaled concatenation, the vector form used by the SVMs."""
-        return np.concatenate([p.weight * p.vector for p in self.parts])
-
-
-def composite_distance(a: CompositeFeature, b: CompositeFeature) -> float:
-    """Weighted sum of per-part dissimilarities."""
-    return float(nn_distances([a], [("", b)])[0][0, 0])
+        """Weight-scaled concatenation of the parts, the row vectors the SVMs use."""
+        return np.hstack([weight * m for (_, _, weight), m in zip(self.parts, self.matrices)])
 
 
 @dataclass(frozen=True)
@@ -335,25 +334,23 @@ class ThresholdSet:
 
 
 def nn_distances(
-    queries: Sequence[CompositeFeature], gallery: Sequence[Tuple[str, CompositeFeature]]
+    queries: Composite, gallery: Tuple[Sequence[str], Composite]
 ) -> Tuple[np.ndarray, List[str]]:
     """(n_queries, n_gallery) composite distance matrix plus gallery labels."""
-    if not gallery:
+    labels, items = gallery
+    if not len(items):
         raise ValueError("gallery must be non-empty")
-    ref = gallery[0][1]
-    for q in queries:
-        if q.config_id() != ref.config_id():
-            raise ValueError(
-                f"configuration mismatch: {q.config_id()!r} vs {ref.config_id()!r}"
-            )
-    out = np.zeros((len(queries), len(gallery)))
-    for i, part in enumerate(ref.parts):
-        if part.weight == 0:
+    if len(labels) != len(items):
+        raise ValueError(f"{len(labels)} labels for {len(items)} gallery rows")
+    layouts = [[(*p, m.shape[1]) for p, m in zip(c.parts, c.matrices)] for c in (queries, items)]
+    if layouts[0] != layouts[1]:
+        raise ValueError(f"configuration mismatch: {layouts[0]} vs {layouts[1]}")
+    out = np.zeros((len(queries), len(items)))
+    for (_, measure, weight), qm, gm in zip(items.parts, queries.matrices, items.matrices):
+        if weight == 0:
             continue
-        qm = np.stack([q.parts[i].vector for q in queries])
-        gm = np.stack([feat.parts[i].vector for _, feat in gallery])
-        out += part.weight * pairwise_distances(part.measure_id, qm, gm)
-    return out, [lb for lb, _ in gallery]
+        out += weight * pairwise_distances(measure, qm, gm)
+    return out, list(labels)
 
 
 def nn_decide(
@@ -373,20 +370,6 @@ def nn_decide(
         limit = np.array([thresholds.by_label[str(c)] for c in classes])
         labels = [UNKNOWN if b > limit[w] else lb for lb, b, w in zip(labels, best, winner)]
     return labels, best
-
-
-def nn_classify(
-    query: CompositeFeature,
-    gallery: Sequence[Tuple[str, CompositeFeature]],
-    thresholds: ThresholdSet,
-) -> Tuple[str, float]:
-    """Label of the nearest gallery item, or UNKNOWN past its class threshold.
-
-    Returns (label, nearest distance).  Distance ties resolve to the
-    lexically lowest label.
-    """
-    labels, best = nn_decide(*nn_distances([query], gallery), thresholds)
-    return labels[0], float(best[0])
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +434,8 @@ def _micro_f_measure(accepted: np.ndarray, correct: np.ndarray) -> np.ndarray:
 
 
 def ga_optimize_thresholds(
-    train: Sequence[Tuple[str, CompositeFeature]],
-    validation: Sequence[Tuple[str, CompositeFeature]],
+    train: Tuple[Sequence[str], Composite],
+    validation: Tuple[Sequence[str], Composite],
     params: GaParams = GaParams(),
 ) -> GaResult:
     """Real-coded GA over per-class rejection thresholds.
@@ -465,18 +448,19 @@ def ga_optimize_thresholds(
     reaches its ceiling, with the result of running every generation.
     """
     params.check()
-    if not train or not validation:
+    val_labels, val_items = validation
+    if not len(train[1]) or not len(val_items):
         raise ValueError("train and validation sets must be non-empty")
-    train_labels = sorted({lb for lb, _ in train})
-    for lb, _ in validation:
+    train_labels = sorted(set(train[0]))
+    for lb in val_labels:
         if lb not in train_labels:
             raise ValueError(f"validation label {lb!r} missing from training set")
 
     # thresholds only gate the decision; the nearest item never changes
-    nearest_label, nearest_dist = nn_decide(*nn_distances([f for _, f in validation], train))
+    nearest_label, nearest_dist = nn_decide(*nn_distances(val_items, train))
     label_index = {lb: i for i, lb in enumerate(train_labels)}
     nearest_class = np.array([label_index[lb] for lb in nearest_label])
-    correct = np.array([got == lb for got, (lb, _) in zip(nearest_label, validation)])
+    correct = np.array([got == lb for got, lb in zip(nearest_label, val_labels)])
 
     n_genes = len(train_labels)
     gene_range = float(max(nearest_dist.max(), 1e-12))

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .pipeline import (
     DataError,
-    PipelineConfig,
     read_config,
     read_manifest,
     run_encode,
@@ -109,14 +109,8 @@ def _load(args):
     if getattr(args, "config", None):
         config = read_config(args.config)
         if args.seed is not None:
-            config = _override_seed(config, args.seed)
+            config = replace(config, seed=args.seed)  # the GA seed follows
     return manifest, config
-
-
-def _override_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
-    from dataclasses import replace
-
-    return replace(config, seed=seed, ga=replace(config.ga, seed=seed))
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .image import Image, rgb_to_hsv_planes
+from .rules import NON_NEGATIVE
 
 DEFAULT_RGB_BINS = (10, 10, 10)
 DEFAULT_HSV_BINS = (18, 10, 10)
@@ -124,7 +125,12 @@ def write_histogram_csv(h: FeatureHistogram, path) -> None:
 
 
 def read_histogram_csv(path) -> FeatureHistogram:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """The histogram of a CSV file; a ValueError names the file, and the line
+    of a bad bin."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines or not lines[0].startswith("axes="):
         raise ValueError(f"{path}: missing histogram header")
     head = lines[0][len("axes=") :]
@@ -138,5 +144,12 @@ def read_histogram_csv(path) -> FeatureHistogram:
     bins = np.zeros(len(values))
     for i, v in enumerate(values):
         if v != "0":
-            bins[i] = float(v)
-    return FeatureHistogram(bins, binning, normalized=(norm == "1"))
+            try:
+                bins[i] = NON_NEGATIVE.parse(v)
+            except ValueError:
+                line = [n for n, text in enumerate(lines[1:], start=2) if text][i]
+                raise ValueError(f"{path}:{line}: bin must be {NON_NEGATIVE.text}, got {v!r}") from None
+    try:
+        return FeatureHistogram(bins, binning, normalized=(norm == "1"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -5,25 +5,22 @@ vectors, dual coefficients, bias, kernel spec) or a nearest-neighbor
 gallery with per-class rejection thresholds.  The file records the
 feature configuration id it was trained on; prediction on artifacts
 with a different id must be refused by the caller.
+
+The NN gallery is its parts' (name, measure id, weight, dim), then one
+packed record per item: its ``<u4`` label index, then its ``<f8`` row of
+each part.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .binfile import Reader, pack_text, write_atomic
-from .classify import (
-    BinarySvm,
-    CompositeFeature,
-    CompositePart,
-    KernelSpec,
-    SvmModel,
-    ThresholdSet,
-)
+from .classify import BinarySvm, Composite, KernelSpec, SvmModel, ThresholdSet
 
 _MODEL_HEADER = b"PVMD" + struct.pack("<I", 1)  # tag, format version
 _KINDS = ("svm", "nn")  # kind code = index
@@ -35,7 +32,7 @@ class ClassifierModel:
     config_id: str
     labels: List[str]
     svm: Optional[SvmModel] = None
-    gallery: Optional[List[Tuple[str, CompositeFeature]]] = None
+    gallery: Optional[Tuple[List[str], Composite]] = None
     thresholds: Optional[ThresholdSet] = None
 
     def __post_init__(self):
@@ -47,6 +44,11 @@ class ClassifierModel:
 
 def _pack_f64(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+
+def _gallery_record(dims: Sequence[int]) -> list:
+    """The dtype spec of one gallery item: label index, then each part's row."""
+    return [("label", "<u4"), *((f"p{i}", "<f8", (d,)) for i, d in enumerate(dims))]
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -66,18 +68,15 @@ def save_model(model: ClassifierModel, path) -> None:
             chunks.append(_pack_f64(m.support_vectors))
             chunks.append(_pack_f64(m.dual_coef))
     else:
-        ref = model.gallery[0][1]
-        chunks.append(struct.pack("<I", len(ref.parts)))
-        for p in ref.parts:
-            chunks.append(pack_text(p.name))
-            chunks.append(pack_text(p.measure_id))
-            chunks.append(struct.pack("<dI", p.weight, len(p.vector)))
-        chunks.append(struct.pack("<I", len(model.gallery)))
-        label_index = {lb: i for i, lb in enumerate(model.labels)}
-        for lb, feat in model.gallery:
-            chunks.append(struct.pack("<I", label_index[lb]))
-            for p in feat.parts:
-                chunks.append(_pack_f64(p.vector))
+        labels, items = model.gallery
+        chunks.append(struct.pack("<I", len(items.parts)))
+        for (name, measure, weight), m in zip(items.parts, items.matrices):
+            chunks += [pack_text(name), pack_text(measure), struct.pack("<dI", weight, m.shape[1])]
+        records = np.empty(len(items), _gallery_record([m.shape[1] for m in items.matrices]))
+        records["label"] = [model.labels.index(lb) for lb in labels]
+        for i, m in enumerate(items.matrices):
+            records[f"p{i}"] = m
+        chunks += [struct.pack("<I", len(records)), records.tobytes()]
         chunks.append(_pack_f64(np.array([model.thresholds.by_label[lb] for lb in model.labels])))
     write_atomic(path, chunks)
 
@@ -104,18 +103,17 @@ def load_model(path) -> ClassifierModel:
         return ClassifierModel("svm", config_id, labels, svm=SvmModel(labels, machines, spec, c))
 
     (n_parts,) = r.unpack("<I")
-    part_meta = [(r.text(), r.text(), *r.unpack("<dI")) for _ in range(n_parts)]
+    parts = [(r.text(), r.text(), *r.unpack("<dI")) for _ in range(n_parts)]
     (n_items,) = r.unpack("<I")
-    gallery = []
-    for _ in range(n_items):
-        (li,) = r.unpack("<I")
-        if li >= n_labels:
-            raise ValueError(f"{path}: gallery label index {li} out of range")
-        parts = tuple(
-            CompositePart(name, r.array("<f8", dim).copy(), measure, weight)
-            for name, measure, weight, dim in part_meta
-        )
-        gallery.append((labels[li], CompositeFeature(parts)))
+    records = r.array(_gallery_record([dim for *_, dim in parts]), n_items)
+    bad = np.flatnonzero(records["label"] >= n_labels)
+    if bad.size:
+        raise ValueError(f"{path}: gallery label index {records['label'][bad[0]]} out of range")
+    try:
+        items = Composite([part[:3] for part in parts], [records[f"p{i}"] for i in range(n_parts)])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    gallery = ([labels[i] for i in records["label"].tolist()], items)
     thresholds = ThresholdSet(dict(zip(labels, r.array("<f8", n_labels).tolist())))
     r.end()
     return ClassifierModel("nn", config_id, labels, gallery=gallery, thresholds=thresholds)

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,8 +24,7 @@ from . import bovw as bovw_mod
 from .asift import extract_asift
 from .classify import (
     UNKNOWN,
-    CompositeFeature,
-    CompositePart,
+    Composite,
     GA_RULES,
     GaParams,
     KernelSpec,
@@ -49,7 +48,7 @@ from .histograms import (
 )
 from .image import load_pnm, to_grayscale
 from .modelio import ClassifierModel, load_model, save_model
-from .rules import COUNT, NON_NEGATIVE, POSITIVE, SEED, Rule
+from .rules import COUNT, FINITE, NON_NEGATIVE, POSITIVE, SEED, Rule
 from .sift import SIFT_RULES, SiftParams, extract_rgb_sift, extract_sift, read_descriptors, write_descriptors
 
 
@@ -254,6 +253,8 @@ class PipelineConfig:
         for key, field in _FIELDS.items():
             if isinstance(_CONFIG_KEYS[key], tuple):
                 _check_choice(key, getattr(self, field))
+        # the GA draws from the config seed, however the config was built
+        object.__setattr__(self, "ga", replace(self.ga, seed=self.seed))
 
     def part(self, name: str) -> Optional[PartConfig]:
         for p in self.parts:
@@ -325,7 +326,7 @@ def parse_config_text(text: str) -> PipelineConfig:
         PartConfig(name, weight=w / total, **{**_PARTS[name], **fields[name]})
         for name, w in zip(names, weights)
     )
-    ga = GaParams(**fields["ga"], seed=top.get("seed", PipelineConfig.seed))
+    ga = GaParams(**fields["ga"])
     try:
         ga.check()  # the population must also hold the elite
     except ValueError as exc:
@@ -438,7 +439,10 @@ def check_features_config(out_dir, config: PipelineConfig) -> None:
     marker = Path(out_dir) / "features" / "config_id.txt"
     if not marker.exists():
         raise DataError(f"no feature artifacts under {out_dir} (run the features stage first)")
-    found = marker.read_text().strip()
+    try:
+        found = marker.read_text(encoding="utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {marker}: {exc}") from None
     if found != config.config_id():
         raise DataError(
             f"feature configuration mismatch: artifacts built with {found!r}, "
@@ -523,34 +527,30 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
 # composite assembly, training, prediction, evaluation
 # ---------------------------------------------------------------------------
 
-def load_composite(row: ManifestRow, config: PipelineConfig, out_dir) -> CompositeFeature:
-    feat_dir = Path(out_dir) / "features"
-    stem = artifact_stem(row.path)
-    parts = []
-    for part in config.parts:
-        name = part.name
-        path = feat_dir / f"{stem}.{name}.csv"
-        if not path.exists():
-            raise DataError(f"missing {name} artifact for {row.path}: {path}")
-        hist = read_histogram_csv(path)
-        parts.append(CompositePart(name, hist.bins, part.measure, part.weight))
-    return CompositeFeature(tuple(parts))
-
-
 def load_labeled_features(
     manifest: Manifest, config: PipelineConfig, out_dir, log=print
-) -> List[Tuple[ManifestRow, CompositeFeature]]:
-    """Composite features of the rows that have every part's artifact; each
-    row without one (unreadable image, no descriptors) is logged as a warning."""
-    out = []
+) -> Tuple[List[ManifestRow], Composite]:
+    """The rows that have every part's artifact, and their features as one
+    Composite; each row without one (unreadable image, no descriptors) is
+    logged as a warning."""
+    feat_dir = Path(out_dir) / "features"
+    rows, bins = [], []
     for row in manifest.rows:
-        try:
-            out.append((row, load_composite(row, config, out_dir)))
-        except DataError as exc:
-            log(f"warning: {exc}")
-    if not out:
+        stem = artifact_stem(row.path)
+        row_bins = []
+        for part in config.parts:
+            path = feat_dir / f"{stem}.{part.name}.csv"
+            if not path.exists():
+                log(f"warning: missing {part.name} artifact for {row.path}: {path}")
+                break
+            row_bins.append(read_histogram_csv(path).bins)
+        else:
+            rows.append(row)
+            bins.append(row_bins)
+    if not rows:
         raise DataError("no feature artifacts available for the selected rows")
-    return out
+    parts = [(p.name, p.measure, p.weight) for p in config.parts]
+    return rows, Composite(parts, [np.stack(column) for column in zip(*bins)])
 
 
 def _resolve_kernel(config: PipelineConfig, vectors: np.ndarray) -> KernelSpec:
@@ -566,32 +566,33 @@ def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
     """Train the configured classifier and write the model file."""
     started = time.perf_counter()
     check_features_config(out_dir, config)
-    labeled = load_labeled_features(manifest, config, out_dir, log)
-    labels = [row.label for row, _ in labeled]
+    rows, items = load_labeled_features(manifest, config, out_dir, log)
+    labels = [row.label for row in rows]
     if len(set(labels)) < 2:
         raise DataError("training needs at least two classes")
     config_id = config.config_id()
 
     if config.classifier == "svm":
-        vectors = np.stack([feat.concatenated() for _, feat in labeled])
+        vectors = items.concatenated()
         spec = _resolve_kernel(config, vectors)
         svm = ova_train(vectors, labels, spec, config.svm_c)
         model = ClassifierModel("svm", config_id, svm.labels, svm=svm)
     else:
-        gallery = [(row.label, feat) for (row, feat) in labeled]
+        gallery = (labels, items)
         class_labels = sorted(set(labels))
         if config.ga_enabled:
             rng = np.random.default_rng(config.seed)
-            order = rng.permutation(len(gallery))
-            n_val = max(1, int(round(config.ga_validation_fraction * len(gallery))))
-            val_idx = set(order[:n_val].tolist())
-            val = [gallery[i] for i in sorted(val_idx)]
-            train_rows = [gallery[i] for i in range(len(gallery)) if i not in val_idx]
-            if not train_rows or {lb for lb, _ in val} - {lb for lb, _ in train_rows}:
+            order = rng.permutation(len(rows))
+            n_val = max(1, int(round(config.ga_validation_fraction * len(rows))))
+            train_idx, val_idx = np.sort(order[n_val:]), np.sort(order[:n_val])
+            train = [labels[i] for i in train_idx], items.take(train_idx)
+            val = [labels[i] for i in val_idx], items.take(val_idx)
+            if not len(train_idx) or set(val[0]) - set(train[0]):
                 raise DataError("GA split left a class without gallery examples")
-            result = ga_optimize_thresholds(train_rows, val, config.ga)
+            result = ga_optimize_thresholds(train, val, config.ga)
             thresholds = result.thresholds
-            gallery = train_rows + val
+            keep = np.concatenate([train_idx, val_idx])  # training rows, then validation rows
+            gallery = [labels[i] for i in keep], items.take(keep)
             if result.best_fitness >= result.ceiling:
                 stop = f"ceiling reached at generation {result.generations_run} of {config.ga.generations}"
             else:
@@ -604,7 +605,7 @@ def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
     path = Path(out_dir) / "model.bin"
     save_model(model, path)
     log(
-        f"model: {config.classifier} over {len(labeled)} examples, "
+        f"model: {config.classifier} over {len(rows)} examples, "
         f"{len(set(labels))} classes in {time.perf_counter() - started:.1f}s"
     )
     return path
@@ -628,16 +629,16 @@ def run_predict(
             f"model was trained on configuration {model.config_id!r}, "
             f"features use {config.config_id()!r}"
         )
-    labeled = load_labeled_features(manifest, config, out_dir, log)
+    kept, items = load_labeled_features(manifest, config, out_dir, log)
 
     if model.kind == "svm":
         svm = model.svm
-        predicted, confidence = svm.decide(svm.scores(np.stack([feat.concatenated() for _, feat in labeled])))
+        predicted, confidence = svm.decide(svm.scores(items.concatenated()))
     else:
-        dists, gallery_labels = nn_distances([f for _, f in labeled], model.gallery)
+        dists, gallery_labels = nn_distances(items, model.gallery)
         predicted, nearest = nn_decide(dists, gallery_labels, model.thresholds)
         confidence = -nearest
-    answers = {row.path: (label, score) for (row, _), label, score in zip(labeled, predicted, confidence)}
+    answers = {row.path: (label, score) for row, label, score in zip(kept, predicted, confidence)}
     # an extracted image that lacks a part (one without descriptors has no
     # bovw histogram) was warned about above; it is answered UNKNOWN with the
     # file's lowest score.  An image that failed extraction gets no row.
@@ -649,7 +650,7 @@ def run_predict(
             label, score = answers.get(row.path, fallback)
             rows.append([row.path, label, f"{score:.10g}"])
     path = write_csv(Path(out_dir) / "predictions.csv", [["path", "predicted", "score"], *rows])
-    log(f"predictions: {len(rows)} rows, {len(rows) - len(labeled)} of them UNKNOWN for lack of features -> {path}")
+    log(f"predictions: {len(rows)} rows, {len(rows) - len(kept)} of them UNKNOWN for lack of features -> {path}")
     return path
 
 
@@ -658,21 +659,29 @@ def run_evaluate(predictions_path, manifest: Manifest, report_dir, log=print):
     pred_file = Path(predictions_path)
     if not pred_file.exists():
         raise DataError(f"missing predictions file {pred_file}")
-    with open(pred_file, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(pred_file, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read predictions {pred_file}: {exc}") from None
     if not rows or rows[0] != ["path", "predicted", "score"]:
         raise DataError(f"{pred_file}: not a predictions file")
     truth = {r.path: r.label for r in manifest.rows}
     preds, truths, scores = [], [], []
-    for row in rows[1:]:
+    for ln, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != 3:
+            raise DataError(f"{pred_file}:{ln}: expected path, predicted, score; got {row!r}")
         path, predicted, score = row
         if path not in truth:
-            raise DataError(f"{pred_file}: prediction for unknown path {path!r}")
+            raise DataError(f"{pred_file}:{ln}: prediction for unknown path {path!r}")
+        try:
+            scores.append(FINITE.parse(score))
+        except ValueError:
+            raise DataError(f"{pred_file}:{ln}: score must be {FINITE.text}, got {score!r}") from None
         preds.append(predicted)
         truths.append(truth[path])
-        scores.append(float(score))
     if not preds:
         raise DataError(f"{pred_file}: no prediction rows")
     report = build_report(preds, truths, scores=scores, labels=manifest.labels)

@@ -40,6 +40,7 @@ SEED = Rule(int, "an integer >= 0", lambda v: v >= 0)
 POSITIVE = Rule(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 NON_NEGATIVE = Rule(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 RATE = Rule(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
+FINITE = Rule(float, "a finite number", math.isfinite)
 
 
 def check_fields(params, rules: Mapping[str, Rule]) -> None:

@@ -317,7 +317,7 @@ def test_criterion_6_svm_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_ga_suite():
-    from tests.test_classify import make_cf
+    from tests.test_classify import labeled, make_cf
 
     rng = np.random.default_rng(107)
     train = [("a", make_cf([0.0, 0.0])), ("b", make_cf([2.0, 2.0]))]
@@ -332,10 +332,10 @@ def test_criterion_7_ga_suite():
         defaults.generations,
     ) == (200, 0.15, 0.7, 1000)
 
-    full = ga_optimize_thresholds(train, val, GaParams(seed=2))  # thesis defaults
+    full = ga_optimize_thresholds(labeled(train), labeled(val), GaParams(seed=2))  # thesis defaults
     monotone = np.all(np.diff(full.history) >= 0) and len(full.history) == 1000
 
-    quick = ga_optimize_thresholds(train, val, GaParams(generations=50, seed=3))
+    quick = ga_optimize_thresholds(labeled(train), labeled(val), GaParams(generations=50, seed=3))
     hit = quick.best_fitness >= 1.0 and int(np.argmax(quick.history >= 1.0)) < 50
 
     report(

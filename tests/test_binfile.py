@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from placevision.binfile import write_atomic
 from placevision.bovw import kmeans, read_vocabulary, write_vocabulary
-from placevision.classify import (
-    CompositeFeature,
-    CompositePart,
-    KernelSpec,
-    ThresholdSet,
-    ova_train,
-)
+from placevision.classify import Composite, KernelSpec, ThresholdSet, ova_train
 from placevision.modelio import ClassifierModel, load_model, save_model
 from placevision.sift import read_descriptors, write_descriptors
 
@@ -28,17 +22,12 @@ LOADERS = {
 
 
 def _nn_model():
-    def cf(u, v):
-        return CompositeFeature(
-            (
-                CompositePart("rgb", np.asarray(u, float), "jeffrey", 0.6),
-                CompositePart("bovw", np.asarray(v, float), "minkowski:1", 0.4),
-            )
-        )
-
-    gallery = [("a", cf([0.2, 0.8], [0.5, 0.5])), ("b", cf([0.9, 0.1], [0.1, 0.9]))]
-    return ClassifierModel("nn", gallery[0][1].config_id(), ["a", "b"], gallery=gallery,
-                           thresholds=ThresholdSet({"a": 0.25, "b": 0.5}))
+    items = Composite(
+        (("rgb", "jeffrey", 0.6), ("bovw", "minkowski:1", 0.4)),
+        (np.array([[0.2, 0.8], [0.9, 0.1]]), np.array([[0.5, 0.5], [0.1, 0.9]])),
+    )
+    return ClassifierModel("nn", "rgb:2:jeffrey:0.6|bovw:2:minkowski:1:0.4", ["a", "b"],
+                           gallery=(["a", "b"], items), thresholds=ThresholdSet({"a": 0.25, "b": 0.5}))
 
 
 def _random_features(rng, count, dim):

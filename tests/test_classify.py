@@ -8,19 +8,14 @@ from hypothesis import strategies as st
 
 from placevision.classify import (
     UNKNOWN,
-    CompositeFeature,
-    CompositePart,
+    Composite,
     GaParams,
-    ThresholdSet,
     _micro_f_measure,
     KernelSpec,
     ThresholdSet,
-    composite_distance,
     ga_optimize_thresholds,
     gram_matrix,
-    kernel,
     median_heuristic_sigma,
-    nn_classify,
     nn_decide,
     nn_distances,
     ova_predict,
@@ -30,7 +25,18 @@ from placevision.classify import (
 
 
 def make_cf(v, measure="euclidean", name="g"):
-    return CompositeFeature((CompositePart(name, np.asarray(v, float), measure, 1.0),))
+    """A one-row, one-part Composite."""
+    return Composite(((name, measure, 1.0),), (np.asarray(v, float)[None, :],))
+
+
+def labeled(pairs):
+    """The (labels, Composite) set of (label, one-row Composite) pairs."""
+    if not pairs:
+        return [], Composite((("g", "euclidean", 1.0),), (np.empty((0, 1)),))
+    items = [item for _, item in pairs]
+    matrices = [np.vstack([item.matrices[i] for item in items]) for i in range(len(items[0].parts))]
+    return [lb for lb, _ in pairs], Composite(items[0].parts, matrices)
+
 
 
 # ---------------------------------------------------------------------------
@@ -38,18 +44,18 @@ def make_cf(v, measure="euclidean", name="g"):
 # ---------------------------------------------------------------------------
 
 def test_kernel_hand_values():
-    assert kernel([1, 2], [3, 4], KernelSpec("linear")) == 11.0
-    assert kernel([1, 2], [3, 4], KernelSpec("linear", c=1.5)) == 12.5
+    assert gram_matrix([1, 2], [3, 4], KernelSpec("linear"))[0, 0] == 11.0
+    assert gram_matrix([1, 2], [3, 4], KernelSpec("linear", c=1.5))[0, 0] == 12.5
     x = np.array([0.3, 0.9, 0.1])
-    assert kernel(x, x, KernelSpec("rbf", sigma=0.4)) == 1.0
-    assert kernel(x, x, KernelSpec("chi2")) == 1.0
+    assert gram_matrix(x, x, KernelSpec("rbf", sigma=0.4))[0, 0] == 1.0
+    assert gram_matrix(x, x, KernelSpec("chi2"))[0, 0] == 1.0
 
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        kernel([1, 2], [1, 2, 3], KernelSpec("linear"))
+        gram_matrix([1, 2], [1, 2, 3], KernelSpec("linear"))
     with pytest.raises(ValueError):
-        kernel([-0.1, 0.2], [0.1, 0.2], KernelSpec("chi2"))
+        gram_matrix([-0.1, 0.2], [0.1, 0.2], KernelSpec("chi2"))
     with pytest.raises(ValueError):
         KernelSpec.parse("sigmoid")
 
@@ -68,7 +74,7 @@ def test_gram_matrix_matches_scalar_kernel():
         g = gram_matrix(xa, xb, spec)
         for i in range(4):
             for j in range(3):
-                assert g[i, j] == pytest.approx(kernel(xa[i], xb[j], spec), abs=1e-12)
+                assert g[i, j] == pytest.approx(gram_matrix(xa[i], xb[j], spec)[0, 0], abs=1e-12)
 
 
 def test_gram_matrices_are_psd():
@@ -202,45 +208,80 @@ def test_ova_needs_two_classes():
 
 def test_composite_distance_identity_and_single_part():
     a = make_cf([0.25, 0.75], measure="jeffrey")
-    assert composite_distance(a, a) == 0.0
+    assert nn_distances(a, labeled([("", a)]))[0][0, 0] == 0.0
     b = make_cf([0.5, 0.5], measure="jeffrey")
     from placevision.distances import jeffrey
 
-    assert composite_distance(a, b) == pytest.approx(jeffrey([0.25, 0.75], [0.5, 0.5]))
+    assert nn_distances(a, labeled([("", b)]))[0][0, 0] == pytest.approx(jeffrey([0.25, 0.75], [0.5, 0.5]))
 
 
 def test_composite_distance_two_parts_weighted_mean():
     def cf(u, v):
-        return CompositeFeature(
-            (
-                CompositePart("p1", np.asarray(u, float), "minkowski:1", 0.5),
-                CompositePart("p2", np.asarray(v, float), "euclidean", 0.5),
-            )
+        return Composite(
+            (("p1", "minkowski:1", 0.5), ("p2", "euclidean", 0.5)),
+            (np.asarray(u, float)[None, :], np.asarray(v, float)[None, :]),
         )
 
     a, b = cf([0.0, 1.0], [1.0, 0.0]), cf([1.0, 1.0], [1.0, 2.0])
     want = 0.5 * 1.0 + 0.5 * 2.0
-    assert composite_distance(a, b) == pytest.approx(want)
+    assert nn_distances(a, labeled([("", b)]))[0][0, 0] == pytest.approx(want)
 
 
 def test_composite_configuration_mismatch_raises():
     a = make_cf([1.0, 0.0], measure="euclidean")
     b = make_cf([1.0, 0.0], measure="jeffrey")
     with pytest.raises(ValueError):
-        composite_distance(a, b)
+        nn_distances(a, labeled([("", b)]))
+
+
+@pytest.mark.parametrize("query_parts, dims", [
+    ((("p1", "jeffrey", 0.5), ("p2", "euclidean", 0.5)), (2, 3)),  # a measure
+    ((("p1", "minkowski:1", 0.4), ("p2", "euclidean", 0.6)), (2, 3)),  # the weights
+    ((("p1", "minkowski:1", 0.5), ("p2", "euclidean", 0.5)), (2, 4)),  # a dimension
+])
+def test_query_gallery_mismatch_is_value_error(query_parts, dims):
+    parts = (("p1", "minkowski:1", 0.5), ("p2", "euclidean", 0.5))
+    gallery = (["a", "b"], Composite(parts, [np.ones((2, 2)), np.ones((2, 3))]))
+    assert nn_distances(Composite(parts, [np.ones((1, 2)), np.ones((1, 3))]), gallery)[0].shape == (1, 2)
+    with pytest.raises(ValueError, match="configuration mismatch"):
+        nn_distances(Composite(query_parts, [np.ones((1, d)) for d in dims]), gallery)
+
+
+@pytest.mark.parametrize("parts, matrices, message", [
+    ((), (), "at least one part"),
+    ((("p", "euclidean", 1.0),), (), "one matrix for each"),
+    ((("p", "euclidean", -0.5), ("q", "euclidean", 1.5)), (np.ones((1, 2)),) * 2, ">= 0"),
+    ((("p", "euclidean", float("nan")),), (np.ones((1, 2)),), ">= 0"),
+    ((("p", "euclidean", 0.5), ("q", "euclidean", 0.4)), (np.ones((1, 2)),) * 2, "sum to 1"),
+    ((("p", "euclidean", 0.5), ("q", "euclidean", 0.5)), (np.ones((1, 2)), np.ones((2, 2))), "same n"),
+    ((("p", "euclidean", 1.0),), (np.ones(3),), r"\(n, d\)"),
+])
+def test_composite_checks_weights_and_rows_once(parts, matrices, message):
+    with pytest.raises(ValueError, match=message):
+        Composite(parts, matrices)
+
+
+def test_composite_rows_are_frozen_and_taken_together():
+    rows = np.arange(12.0).reshape(4, 3)
+    c = Composite((("p", "euclidean", 0.25), ("q", "minkowski:1", 0.75)), (rows[:, :2], rows))
+    assert len(c) == 4 and c.matrices[0].flags.c_contiguous
+    assert not any(m.flags.writeable for m in c.matrices)
+    picked = c.take(np.array([3, 1]))
+    assert np.array_equal(picked.matrices[1], rows[[3, 1]]) and picked.parts == c.parts
+    assert np.array_equal(c.concatenated(), np.hstack([0.25 * rows[:, :2], 0.75 * rows]))
 
 
 def test_nn_classify_basic_and_thresholds():
-    gallery = [("a", make_cf([0.0, 0.0])), ("b", make_cf([1.0, 1.0]))]
+    gallery = labeled([("a", make_cf([0.0, 0.0])), ("b", make_cf([1.0, 1.0]))])
     permissive = ThresholdSet.permissive(["a", "b"])
-    assert nn_classify(make_cf([0.0, 0.0]), gallery, permissive)[0] == "a"
+    assert nn_decide(*nn_distances(make_cf([0.0, 0.0]), gallery), permissive)[0] == ["a"]
     strict = ThresholdSet({"a": 0.0, "b": 0.0})
-    assert nn_classify(make_cf([0.4, 0.1]), gallery, strict)[0] == UNKNOWN
+    assert nn_decide(*nn_distances(make_cf([0.4, 0.1]), gallery), strict)[0] == [UNKNOWN]
 
 
 def test_nn_classify_tie_breaks_to_lowest_label():
-    gallery = [("z", make_cf([1.0, 0.0])), ("a", make_cf([0.0, 1.0]))]
-    label, _ = nn_classify(make_cf([0.5, 0.5]), gallery, ThresholdSet.permissive(["a", "z"]))
+    gallery = labeled([("z", make_cf([1.0, 0.0])), ("a", make_cf([0.0, 1.0]))])
+    (label,), _ = nn_decide(*nn_distances(make_cf([0.5, 0.5]), gallery), ThresholdSet.permissive(["a", "z"]))
     assert label == "a"
 
 
@@ -254,8 +295,8 @@ def test_nn_classify_agrees_with_exhaustive_oracle():
     thresholds = ThresholdSet({lb: 1.4 for lb in centers})
     for _ in range(100):
         q = make_cf(rng.uniform(-1, 3, 2))
-        got, dist = nn_classify(q, gallery, thresholds)
-        pairs = [(np.linalg.norm(q.parts[0].vector - f.parts[0].vector), lb) for lb, f in gallery]
+        (got,), (dist,) = nn_decide(*nn_distances(q, labeled(gallery)), thresholds)
+        pairs = [(np.linalg.norm(q.matrices[0][0] - f.matrices[0][0]), lb) for lb, f in gallery]
         best = min(d for d, _ in pairs)
         label = sorted(lb for d, lb in pairs if d <= best)[0]
         want = label if best <= 1.4 else UNKNOWN
@@ -292,7 +333,7 @@ def _toy_sets(rng):
 def test_ga_reaches_perfect_f_on_separable_toy_within_50_generations():
     rng = np.random.default_rng(9)
     train, val = _toy_sets(rng)
-    result = ga_optimize_thresholds(train, val, GaParams(generations=50, seed=3))
+    result = ga_optimize_thresholds(labeled(train), labeled(val), GaParams(generations=50, seed=3))
     assert result.best_fitness == pytest.approx(1.0)
     assert np.argmax(result.history >= 1.0) < 50
 
@@ -300,25 +341,25 @@ def test_ga_reaches_perfect_f_on_separable_toy_within_50_generations():
 def test_ga_elitist_history_is_monotone():
     rng = np.random.default_rng(10)
     train, val = _toy_sets(rng)
-    result = ga_optimize_thresholds(train, val, GaParams(generations=120, seed=4))
+    result = ga_optimize_thresholds(labeled(train), labeled(val), GaParams(generations=120, seed=4))
     assert np.all(np.diff(result.history) >= 0)
 
 
 def test_ga_deterministic_given_seed():
     rng = np.random.default_rng(11)
     train, val = _toy_sets(rng)
-    r1 = ga_optimize_thresholds(train, val, GaParams(generations=30, seed=5))
-    r2 = ga_optimize_thresholds(train, val, GaParams(generations=30, seed=5))
+    r1 = ga_optimize_thresholds(labeled(train), labeled(val), GaParams(generations=30, seed=5))
+    r2 = ga_optimize_thresholds(labeled(train), labeled(val), GaParams(generations=30, seed=5))
     assert r1.thresholds.by_label == r2.thresholds.by_label
     assert np.array_equal(r1.history, r2.history)
 
 
 def test_ga_validates_inputs():
     with pytest.raises(ValueError):
-        ga_optimize_thresholds([], [("a", make_cf([0.0]))], GaParams(generations=1))
+        ga_optimize_thresholds(labeled([]), labeled([("a", make_cf([0.0]))]), GaParams(generations=1))
     with pytest.raises(ValueError):
         ga_optimize_thresholds(
-            [("a", make_cf([0.0]))], [("zz", make_cf([0.0]))], GaParams(generations=1)
+            labeled([("a", make_cf([0.0]))]), labeled([("zz", make_cf([0.0]))]), GaParams(generations=1)
         )
 
 
@@ -326,7 +367,7 @@ def full_loop_ga(train, validation, params):
     """The GA as first written: every generation runs, parents are drawn by
     Generator.choice and each parent side gathers the ranked population."""
     train_labels = sorted({lb for lb, _ in train})
-    nearest_label, nearest_dist = nn_decide(*nn_distances([f for _, f in validation], train))
+    nearest_label, nearest_dist = nn_decide(*nn_distances(labeled(validation)[1], labeled(train)))
     label_index = {lb: i for i, lb in enumerate(train_labels)}
     nearest_class = np.array([label_index[lb] for lb in nearest_label])
     correct = np.array([got == lb for got, (lb, _) in zip(nearest_label, validation)])
@@ -387,7 +428,7 @@ def test_ga_equals_the_full_loop_and_stops_at_its_ceiling(case, ceiling):
         train, val = _ga_case(case, np.random.default_rng(seed))
         for population in (2, 3, 200):
             params = GaParams(population=population, generations=generations, seed=seed)
-            got = ga_optimize_thresholds(train, val, params)
+            got = ga_optimize_thresholds(labeled(train), labeled(val), params)
             thresholds, best, history = full_loop_ga(train, val, params)
             want = np.array([thresholds.by_label[lb] for lb in "abc"])
             assert np.array([got.thresholds.by_label[lb] for lb in "abc"]).tobytes() == want.tobytes()
@@ -405,7 +446,7 @@ def _exact_optimum(train, validation):
     """Best micro F of any per-class thresholds: each class accepts a
     prefix of its validation rows sorted by nearest distance."""
     labels = sorted({lb for lb, _ in train})
-    nearest_label, nearest_dist = nn_decide(*nn_distances([f for _, f in validation], train))
+    nearest_label, nearest_dist = nn_decide(*nn_distances(labeled(validation)[1], labeled(train)))
     correct = np.array([got == lb for got, (lb, _) in zip(nearest_label, validation)])
     cuts = []
     for lb in labels:
@@ -429,7 +470,7 @@ def test_ga_never_beats_the_exact_optimum_which_never_beats_the_ceiling(n_classe
     labels = "abc"[:n_classes]
     train = [(lb, make_cf([3.0 * i])) for i, lb in enumerate(labels)]
     val = [(labels[k % n_classes], make_cf([x])) for k, x in points]
-    result = ga_optimize_thresholds(train, val, GaParams(population=6, generations=15, seed=seed))
+    result = ga_optimize_thresholds(labeled(train), labeled(val), GaParams(population=6, generations=15, seed=seed))
     optimum = _exact_optimum(train, val)
     assert result.best_fitness <= optimum <= result.ceiling
 
@@ -447,4 +488,4 @@ def test_ga_params_name_the_field_they_reject():
         (GaParams(generations=2.5), "generations"),
     ]:
         with pytest.raises(ValueError, match=field):
-            ga_optimize_thresholds(train, val, params)
+            ga_optimize_thresholds(labeled(train), labeled(val), params)

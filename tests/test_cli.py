@@ -705,5 +705,71 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     write_pnm(synth.render_room_image(0, 1, 0, size=320), tmp_path / "room.ppm")
     monkeypatch.chdir(tmp_path)
-    exec(compile(code, "README.md", "exec"), {})
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
     assert capsys.readouterr().out.strip() == "0.0"  # a histogram's distance to itself
+    assert names["labels"] == ["Office"] and names["nearest"].tolist() == [0.0]
+    import placevision
+
+    assert [n for n in placevision.__all__ if not hasattr(placevision, n)] == []
+
+
+def test_ga_seed_follows_the_config_seed_however_the_config_is_built():
+    from placevision.pipeline import PartConfig, PipelineConfig
+
+    hand = PipelineConfig((PartConfig("rgb", "jeffrey", 1.0, bins=(4, 4, 4)),),
+                          classifier="nn", ga_enabled=True)
+    assert hand.ga.seed == hand.seed == 7
+    assert replace(hand, seed=3).ga.seed == 3
+    parsed = parse_config_text("classifier.kind = nn\nga.enabled = 1\nseed = 5\n")
+    assert parsed.ga.seed == 5
+    # the form that replaces both seeds by hand gives the same config
+    assert replace(parsed, seed=9, ga=replace(parsed.ga, seed=9)) == replace(parsed, seed=9)
+
+
+def test_non_utf8_feature_marker_is_data_error_naming_the_file(dataset, trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    marker = out / "features" / "config_id.txt"
+    marker.write_bytes(b"\xff" + marker.read_bytes())
+    capsys.readouterr()
+    rc = run_stage(["train", "--manifest", dataset / "manifest.tsv", "--config",
+                    dataset / "pipeline.cfg", "--out", out, "--sequences", "1,3"])
+    assert rc == 2
+    assert f"cannot read {marker}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row + b"\xff", "cannot read predictions {path}"),
+    (lambda row: row.rsplit(b",", 1)[0], "{path}:2: expected path, predicted, score"),
+    (lambda row: row.rsplit(b",", 1)[0] + b",x", "{path}:2: score must be a finite number, got 'x'"),
+    (lambda row: row.rsplit(b",", 1)[0] + b",nan", "{path}:2: score must be a finite number, got 'nan'"),
+], ids=["non-utf8", "two-fields", "score-x", "score-nan"])
+def test_bad_predictions_file_is_data_error_naming_the_file(dataset, trained, tmp_path, capsys,
+                                                            edit, message):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    args = ["--manifest", dataset / "manifest.tsv", "--out", out, "--sequences", "2"]
+    assert run_stage(["predict", "--config", dataset / "pipeline.cfg", *args]) == 0
+    path = out / "predictions.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = edit(lines[1])
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_stage(["evaluate", *args]) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", "-1", "inf"])
+def test_bad_histogram_bin_is_data_error_naming_file_and_line(dataset, trained, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = sorted((out / "features").glob("*.rgb.csv"))[0]
+    lines = path.read_text().split("\n")
+    lines[2] = value  # the second bin, on line 3
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    rc = run_stage(["predict", "--manifest", dataset / "manifest.tsv", "--config",
+                    dataset / "pipeline.cfg", "--out", out])
+    assert rc == 2
+    assert f"{path}:3: bin must be a finite number >= 0, got {value!r}" in capsys.readouterr().err

@@ -2,15 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from placevision.classify import (
-    CompositeFeature,
-    CompositePart,
-    KernelSpec,
-    ThresholdSet,
-    ova_train,
-)
-from placevision.modelio import ClassifierModel, load_model, save_model
+from placevision.binfile import pack_text
+from placevision.classify import Composite, KernelSpec, ThresholdSet, ova_train
+from placevision.modelio import _MODEL_HEADER, ClassifierModel, load_model, save_model
+from tests.test_classify import labeled, make_cf
 
 
 def test_svm_model_round_trip(tmp_path):
@@ -42,32 +40,29 @@ def test_svm_model_round_trip(tmp_path):
 
 def test_nn_model_round_trip(tmp_path):
     def cf(u, v):
-        return CompositeFeature(
-            (
-                CompositePart("rgb", np.asarray(u, float), "jeffrey", 0.6),
-                CompositePart("bovw", np.asarray(v, float), "minkowski:1", 0.4),
-            )
+        return Composite(
+            (("rgb", "jeffrey", 0.6), ("bovw", "minkowski:1", 0.4)),
+            (np.asarray(u, float)[None, :], np.asarray(v, float)[None, :]),
         )
 
-    gallery = [
+    gallery = labeled([
         ("a", cf([0.2, 0.8], [0.5, 0.25, 0.25])),
         ("b", cf([0.9, 0.1], [0.1, 0.1, 0.8])),
         ("a", cf([0.3, 0.7], [0.6, 0.2, 0.2])),
-    ]
+    ])
     thresholds = ThresholdSet({"a": 0.25, "b": 0.5})
-    model = ClassifierModel("nn", gallery[0][1].config_id(), ["a", "b"],
+    model = ClassifierModel("nn", "rgb:2:jeffrey:0.6|bovw:3:minkowski:1:0.4", ["a", "b"],
                             gallery=gallery, thresholds=thresholds)
     path = tmp_path / "nn.bin"
     save_model(model, path)
     back = load_model(path)
     assert back.kind == "nn"
     assert back.thresholds.by_label == thresholds.by_label
-    assert len(back.gallery) == 3
-    for (la, fa), (lb, fb) in zip(gallery, back.gallery):
-        assert la == lb
-        assert fa.config_id() == fb.config_id()
-        for pa, pb in zip(fa.parts, fb.parts):
-            assert np.array_equal(pa.vector, pb.vector)
+    assert len(back.gallery[1]) == 3
+    assert back.gallery[0] == gallery[0]
+    assert back.gallery[1].parts == gallery[1].parts
+    for ma, mb in zip(gallery[1].matrices, back.gallery[1].matrices):
+        assert np.array_equal(ma, mb)
 
 
 def test_model_file_rejects_garbage(tmp_path):
@@ -85,11 +80,11 @@ def test_model_container_validation():
 
 
 def _nn_model_bytes(tmp_path):
-    gallery = [
-        ("a", CompositeFeature((CompositePart("rgb", np.array([0.2, 0.8]), "jeffrey", 1.0),))),
-        ("b", CompositeFeature((CompositePart("rgb", np.array([0.9, 0.1]), "jeffrey", 1.0),))),
-    ]
-    model = ClassifierModel("nn", gallery[0][1].config_id(), ["a", "b"], gallery=gallery,
+    gallery = labeled([
+        ("a", make_cf([0.2, 0.8], "jeffrey", "rgb")),
+        ("b", make_cf([0.9, 0.1], "jeffrey", "rgb")),
+    ])
+    model = ClassifierModel("nn", "rgb:2:jeffrey:1", ["a", "b"], gallery=gallery,
                             thresholds=ThresholdSet({"a": 0.5, "b": 0.5}))
     save_model(model, tmp_path / "nn.bin")
     return bytearray((tmp_path / "nn.bin").read_bytes()), model
@@ -115,3 +110,45 @@ def test_model_file_rejects_out_of_range_gallery_label(tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="label index 7"):
         load_model(p)
+
+
+def _per_row_nn_bytes(model):
+    """model.bin of an NN model as written one gallery row at a time: the
+    reference layout the packed gallery records must keep."""
+    labels, items = model.gallery
+    chunks = [_MODEL_HEADER, struct.pack("<B", 1), pack_text(model.config_id)]
+    chunks.append(struct.pack("<I", len(model.labels)))
+    chunks.extend(pack_text(lb) for lb in model.labels)
+    chunks.append(struct.pack("<I", len(items.parts)))
+    for (name, measure, weight), m in zip(items.parts, items.matrices):
+        chunks += [pack_text(name), pack_text(measure), struct.pack("<dI", weight, m.shape[1])]
+    chunks.append(struct.pack("<I", len(items)))
+    for i, lb in enumerate(labels):
+        chunks.append(struct.pack("<I", model.labels.index(lb)))
+        chunks.extend(m[i].astype("<f8").tobytes() for m in items.matrices)
+    chunks.append(np.array([model.thresholds.by_label[lb] for lb in model.labels], "<f8").tobytes())
+    return b"".join(chunks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 50), min_size=1, max_size=3),
+    n_items=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_nn_gallery_records_keep_the_per_row_layout(tmp_path_factory, dims, n_items, seed):
+    rng = np.random.default_rng(seed)
+    classes = ["kitchen", "office", "corridor"]
+    labels = [classes[i] for i in rng.permutation(np.arange(n_items) % len(classes))]
+    weights = rng.random(len(dims)) + 0.1
+    parts = [(f"p{i}", "euclidean", w / weights.sum()) for i, w in enumerate(weights)]
+    items = Composite(parts, [rng.random((n_items, d)) for d in dims])
+    used = sorted(set(labels))
+    model = ClassifierModel("nn", "cfg", used, gallery=(labels, items),
+                            thresholds=ThresholdSet(dict(zip(used, rng.random(len(used))))))
+    path = tmp_path_factory.mktemp("layout") / "model.bin"
+    save_model(model, path)
+    assert path.read_bytes() == _per_row_nn_bytes(model)
+    again = path.with_name("again.bin")
+    save_model(load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
