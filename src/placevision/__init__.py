@@ -7,9 +7,9 @@ do the room recognition.  The `placevision` CLI batches the full
 pipeline over image manifests.
 """
 
-from .image import GrayImage, HsvPixel, Image, PnmError, load_pnm, to_grayscale, write_pnm
+from .image import GrayImage, Image, PnmError, load_pnm, to_grayscale, write_pnm
 from .histograms import FeatureHistogram, hsv_histogram, normalize_l1, rgb_histogram
-from .distances import emd, get_measure
+from .distances import emd, pairwise_distances
 from .sift import SiftParams, extract_rgb_sift, extract_sift
 from .asift import AffineView, asift_views, extract_asift
 from .bovw import BowVector, Vocabulary, encode_image, incremental_vocab, kmeans, quantize
@@ -23,7 +23,6 @@ from .classify import (
     ga_optimize_thresholds,
     nn_decide,
     nn_distances,
-    ova_predict,
     ova_train,
     svm_train,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "FeatureHistogram",
     "GaParams",
     "GrayImage",
-    "HsvPixel",
     "Image",
     "KernelSpec",
     "PnmError",
@@ -57,7 +55,6 @@ __all__ = [
     "extract_rgb_sift",
     "extract_sift",
     "ga_optimize_thresholds",
-    "get_measure",
     "hsv_histogram",
     "incremental_vocab",
     "kmeans",
@@ -66,8 +63,8 @@ __all__ = [
     "nn_decide",
     "nn_distances",
     "normalize_l1",
-    "ova_predict",
     "ova_train",
+    "pairwise_distances",
     "pr_curve",
     "quantize",
     "rgb_histogram",

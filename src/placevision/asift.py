@@ -29,10 +29,6 @@ class AffineView:
     image: GrayImage
     inverse: np.ndarray  # 2x3, view coords -> original coords
 
-    @property
-    def latitude_deg(self) -> float:
-        return math.degrees(math.acos(1.0 / self.tilt))
-
 
 def _warp_affine(src: np.ndarray, inverse: np.ndarray, out_shape) -> np.ndarray:
     """Inverse-mapped affine warp with bilinear sampling, clamped borders."""

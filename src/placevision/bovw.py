@@ -14,7 +14,7 @@ from typing import List
 import numpy as np
 
 from .binfile import Reader, pack_text, write_atomic
-from .distances import get_measure, pairwise_distances, parse_measure
+from .distances import pairwise_distances, parse_measure
 from .histograms import FeatureHistogram
 
 DEFAULT_K = 100
@@ -185,22 +185,21 @@ def incremental_vocab(
     if (sums <= 0).any():
         raise ValueError("descriptors must have positive L1 norm")
     x = x / sums[:, None]
-    measure = get_measure(distance_id)
-    words = [x[0]]
+    words = np.empty_like(x)
+    words[0] = x[0]
+    k = 1
     for row in x[1:]:
-        best = min(measure(row, w) for w in words)
-        if best > threshold:
-            words.append(row)
-    return Vocabulary(np.stack(words), distance_id, "incremental", 0)
+        if pairwise_distances(distance_id, row, words[:k]).min() > threshold:
+            words[k] = row
+            k += 1
+    return Vocabulary(words[:k].copy(), distance_id, "incremental", 0)
 
 
-def quantize(x, vocab: Vocabulary) -> int:
-    """Index of the nearest visual word; ties break to the lowest index."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (vocab.dim,):
-        raise ValueError(f"descriptor dim {v.shape} does not match vocabulary ({vocab.dim},)")
-    d = _distances_to(v[None, :], vocab.distance_id)(vocab.centers)[0]
-    return int(d.argmin())
+def quantize(descriptors, vocab: Vocabulary) -> np.ndarray:
+    """Index of each row's nearest visual word, (n,); ties break to the
+    lowest index."""
+    x = _as_matrix(descriptors)
+    return _distances_to(x, vocab.distance_id)(vocab.centers).argmin(axis=1)
 
 
 def encode_image(descriptors, vocab: Vocabulary) -> BowVector:
@@ -209,13 +208,9 @@ def encode_image(descriptors, vocab: Vocabulary) -> BowVector:
     An empty descriptor set is an error: a zero vector would break the
     unit-mass invariant downstream.
     """
-    x = np.asarray(descriptors, dtype=np.float64)
-    if x.size == 0:
+    if np.size(descriptors) == 0:
         raise ValueError("cannot encode an image with no descriptors")
-    x = _as_matrix(x)
-    d = _distances_to(x, vocab.distance_id)(vocab.centers)
-    words = d.argmin(axis=1)
-    counts = np.bincount(words, minlength=vocab.k).astype(np.float64)
+    counts = np.bincount(quantize(descriptors, vocab), minlength=vocab.k).astype(np.float64)
     return BowVector(counts / counts.sum())
 
 

@@ -27,6 +27,12 @@ from .rules import COUNT, NON_NEGATIVE, RATE, SEED, check_fields
 
 UNKNOWN = "UNKNOWN"
 
+_SIGMA_ROWS = 1000  # median heuristic subsample size
+# SMO stops once no example breaks the KKT conditions by more than _KKT_TOL,
+# or after _MAX_EPOCHS passes
+_KKT_TOL = 1e-3
+_MAX_EPOCHS = 200
+
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -75,12 +81,13 @@ def gram_matrix(xa: np.ndarray, xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
     raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
 
-def median_heuristic_sigma(x: np.ndarray, cap: int = 1000, seed: int = 0) -> float:
-    """Median pairwise Euclidean distance over a seeded subsample."""
+def median_heuristic_sigma(x: np.ndarray, seed: int = 0) -> float:
+    """Median pairwise Euclidean distance over a seeded subsample of at most
+    _SIGMA_ROWS rows."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(seed)
-    if x.shape[0] > cap:
-        x = x[rng.choice(x.shape[0], size=cap, replace=False)]
+    if x.shape[0] > _SIGMA_ROWS:
+        x = x[rng.choice(x.shape[0], size=_SIGMA_ROWS, replace=False)]
     d = np.sqrt(sq_euclidean_gram(x, x))
     vals = d[np.triu_indices(d.shape[0], k=1)]
     med = float(np.median(vals)) if vals.size else 1.0
@@ -104,14 +111,7 @@ class BinarySvm:
         return k @ self.dual_coef + self.bias
 
 
-def svm_train(
-    x,
-    y,
-    kernel_spec: KernelSpec,
-    c: float = 10.0,
-    tol: float = 1e-3,
-    max_epochs: int = 200,
-) -> BinarySvm:
+def svm_train(x, y, kernel_spec: KernelSpec, c: float = 10.0) -> BinarySvm:
     """Soft-margin dual solved by SMO with Platt's working-set heuristics.
 
     Deterministic: the outer loop scans examples in index order and the
@@ -191,7 +191,7 @@ def svm_train(
     def examine(i2: int) -> bool:
         y2, a2, e2 = y[i2], alphas[i2], errors[i2]
         r2 = e2 * y2
-        if (r2 < -tol and a2 < c) or (r2 > tol and a2 > 0):
+        if (r2 < -_KKT_TOL and a2 < c) or (r2 > _KKT_TOL and a2 > 0):
             non_bound = np.nonzero((alphas > 0) & (alphas < c))[0]
             if len(non_bound) > 1:
                 i1 = int(non_bound[np.argmax(np.abs(errors[non_bound] - e2))])
@@ -208,7 +208,7 @@ def svm_train(
     examine_all = True
     changed = 0
     epochs = 0
-    while (changed > 0 or examine_all) and epochs < max_epochs:
+    while (changed > 0 or examine_all) and epochs < _MAX_EPOCHS:
         epochs += 1
         changed = 0
         if examine_all:
@@ -262,13 +262,6 @@ def ova_train(x, labels: Sequence[str], kernel_spec: KernelSpec, c: float = 10.0
         y = np.where(arr == cls, 1.0, -1.0)
         machines[cls] = svm_train(x, y, kernel_spec, c)
     return SvmModel(classes, machines, kernel_spec, c)
-
-
-def ova_predict(model: SvmModel, x) -> Tuple[str, np.ndarray]:
-    """Winning label of one feature vector and its class scores."""
-    scores = model.scores(x)
-    labels, _ = model.decide(scores)
-    return labels[0], scores[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +322,8 @@ class ThresholdSet:
                 raise ValueError(f"threshold for {lb!r} must be finite, got {v}")
 
     @staticmethod
-    def permissive(labels: Sequence[str], limit: float = 1e30) -> "ThresholdSet":
-        return ThresholdSet({str(lb): limit for lb in labels})
+    def permissive(labels: Sequence[str]) -> "ThresholdSet":
+        return ThresholdSet({str(lb): 1e30 for lb in labels})
 
 
 def nn_distances(

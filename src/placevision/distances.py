@@ -1,10 +1,10 @@
 """Histogram dissimilarity measures, bin-by-bin and cross-bin.
 
 Each measure is one block function mapping non-negative rows Q (nq, d)
-and G (ng, d) to an (nq, ng) dissimilarity matrix, 0 for identical rows;
-the scalar functions are its 1x1 call.  Measures are addressable by
-string id for CLI flags and model files: euclidean | minkowski:r | kl |
-jeffrey | chi2 | chi2sym | bhattacharyya | emd | match.
+and G (ng, d) to an (nq, ng) dissimilarity matrix, 0 for identical rows.
+Measures are addressable by string id for CLI flags and model files:
+euclidean | minkowski:r | kl | jeffrey | chi2 | chi2sym | bhattacharyya |
+emd | match; `pairwise_distances` computes any of them.
 
 Logarithms are natural throughout.  Zero-bin conventions: 0*log(.) = 0,
 the chi-square denominator skips empty reference bins, and KL floors the
@@ -51,20 +51,24 @@ def _order(r) -> float:
 
 
 def _minkowski_block(q: np.ndarray, g: np.ndarray, r: float = 2.0) -> np.ndarray:
+    """(sum |H_i - K_i|^r)^(1/r); r=2 is the Euclidean distance."""
     d = np.abs(q[:, None, :] - g[None, :, :])
     if r == 1.0:
         return d.sum(axis=2)
     return (d**r).sum(axis=2) ** (1.0 / r)
 
 
-def _kl_block(q, g, epsilon: float = _KL_EPSILON, printed_form: bool = False) -> np.ndarray:
+def _kl_block(q, g) -> np.ndarray:
+    """Relative entropy sum H_i*log(H_i / K_i), asymmetric."""
     _require_normalized("kullback_leibler", q, g)
     a = q[:, None, :]
-    logs = np.where(a > 0, np.log(np.where(a > 0, a, 1.0) / np.maximum(g, epsilon)), 0.0)
-    return (logs if printed_form else a * logs).sum(axis=2)
+    logs = np.where(a > 0, np.log(np.where(a > 0, a, 1.0) / np.maximum(g, _KL_EPSILON)), 0.0)
+    return (a * logs).sum(axis=2)
 
 
 def _jeffrey_block(q, g) -> np.ndarray:
+    """Symmetrized divergence against the midpoint distribution M = (H+K)/2:
+    sum H_i*log(H_i / M_i) + K_i*log(K_i / M_i)."""
     # a bin that is zero in every row adds exactly +0.0, so the logs are taken
     # on the occupied bins only; the terms go back into place before the sum,
     # which then adds the same values in the same order
@@ -82,6 +86,11 @@ def _jeffrey_block(q, g) -> np.ndarray:
 
 
 def _chi2_block(q, g, symmetric: bool = False) -> np.ndarray:
+    """sum (H_i-K_i)^2 / H_i over bins with H_i > 0 (asymmetric form).
+
+    The symmetric variant divides by (H_i+K_i)/2 instead, matching the
+    chi-square kernel's measure.
+    """
     a = q[:, None, :]
     denom = 0.5 * (a + g) if symmetric else a
     num = (a - g) ** 2
@@ -89,6 +98,7 @@ def _chi2_block(q, g, symmetric: bool = False) -> np.ndarray:
 
 
 def _bhattacharyya_block(q, g) -> np.ndarray:
+    """-ln sum sqrt(H_i*K_i); disjoint supports saturate to a finite sentinel."""
     _require_normalized("bhattacharyya", q, g)
     c = (np.sqrt(q)[:, None, :] * np.sqrt(g)[None, :, :]).sum(axis=2)
     # roundoff can push the coefficient a hair above 1 for identical inputs
@@ -101,6 +111,7 @@ def _mass_gap(q, g) -> np.ndarray:
 
 
 def _match_block(q, g) -> np.ndarray:
+    """L1 distance between cumulative histograms; requires equal masses."""
     if _mass_gap(q, g).any():
         raise ValueError("match_distance requires equal total mass")
     return _minkowski_block(np.cumsum(q, axis=1), np.cumsum(g, axis=1), 1.0)
@@ -120,53 +131,6 @@ def _emd_block(q, g) -> np.ndarray:
     for i, j in zip(*np.nonzero(unequal)):
         out[i, j] = emd(q[i], g[j])[0]
     return out
-
-
-def _scalar(block, h, k, **params) -> float:
-    a, b = _pair(h, k)
-    return float(block(a[None, :], b[None, :], **params)[0, 0])
-
-
-def minkowski(h, k, r: float = 2.0) -> float:
-    """(sum |H_i - K_i|^r)^(1/r); r=2 is the Euclidean distance."""
-    return _scalar(_minkowski_block, h, k, r=_order(r))
-
-
-def euclidean(h, k) -> float:
-    return minkowski(h, k, 2.0)
-
-
-def kullback_leibler(h, k, epsilon: float = _KL_EPSILON, printed_form: bool = False) -> float:
-    """Relative entropy sum H_i*log(H_i / K_i), asymmetric.
-
-    ``printed_form`` drops the H_i weight (sum log(H_i/K_i) over bins
-    with H_i > 0), kept only for comparison purposes.
-    """
-    return _scalar(_kl_block, h, k, epsilon=epsilon, printed_form=printed_form)
-
-
-def jeffrey(h, k) -> float:
-    """Symmetrized divergence against the midpoint distribution."""
-    return _scalar(_jeffrey_block, h, k)
-
-
-def chi_square(h, k, symmetric: bool = False) -> float:
-    """sum (H_i-K_i)^2 / H_i over bins with H_i > 0 (asymmetric form).
-
-    The symmetric variant divides by (H_i+K_i)/2 instead, matching the
-    chi-square kernel's measure.
-    """
-    return _scalar(_chi2_block, h, k, symmetric=symmetric)
-
-
-def bhattacharyya(h, k) -> float:
-    """-ln sum sqrt(H_i*K_i); disjoint supports saturate to a finite sentinel."""
-    return _scalar(_bhattacharyya_block, h, k)
-
-
-def match_distance(h, k) -> float:
-    """L1 distance between cumulative histograms; requires equal masses."""
-    return _scalar(_match_block, h, k)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +357,6 @@ def parse_measure(measure_id: str) -> Tuple[Callable[..., np.ndarray], Dict[str,
     if mid in _BLOCKS:
         return _BLOCKS[mid]
     raise ValueError(f"unknown measure id {measure_id!r}")
-
-
-def get_measure(measure_id: str) -> Callable[..., float]:
-    """Resolve a measure id to a scalar-valued callable of (H, K)."""
-    block, params = parse_measure(measure_id)
-    return lambda h, k: _scalar(block, h, k, **params)
 
 
 def pairwise_distances(measure_id: str, queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:

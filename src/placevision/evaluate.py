@@ -58,10 +58,9 @@ def confusion_matrix(
     return mat, classes
 
 
-def pr_curve(
-    scored: Sequence[Tuple[float, bool]], higher_is_relevant: bool = True
-) -> List[Tuple[float, float]]:
-    """Precision/recall pairs swept over the unique score thresholds.
+def pr_curve(scored: Sequence[Tuple[float, bool]]) -> List[Tuple[float, float]]:
+    """Precision/recall pairs swept over the unique score thresholds, higher
+    scores retrieved first.
 
     Each output point is (recall, precision) for the retrieval set at
     one threshold, ordered so recall is non-decreasing.
@@ -73,7 +72,7 @@ def pr_curve(
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     n_relevant = int(rel.sum())
-    order = np.argsort(-scores if higher_is_relevant else scores, kind="stable")
+    order = np.argsort(-scores, kind="stable")
     points = []
     retrieved = 0
     hits = 0
@@ -108,7 +107,6 @@ def build_report(
     truths: Sequence[str],
     scores: Sequence[float] | None = None,
     labels: Sequence[str] | None = None,
-    higher_is_relevant: bool = True,
 ) -> EvalReport:
     """Assemble confusion, per-class and micro-averaged pooled metrics.
 
@@ -130,7 +128,7 @@ def build_report(
     points = []
     if scores is not None:
         correct = [p == t for p, t in zip(predictions, truths)]
-        points = pr_curve(list(zip(scores, correct)), higher_is_relevant)
+        points = pr_curve(list(zip(scores, correct)))
     return EvalReport(classes, mat, per_class, aggregate, points)
 
 
@@ -159,10 +157,3 @@ def write_report(report: EvalReport, out_dir) -> List[Path]:
         write_csv(out / "summary.csv", summary),
     ]
 
-
-def read_confusion_csv(path) -> Tuple[np.ndarray, List[str]]:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    labels = rows[0][1:-1]
-    mat = np.array([[int(v) for v in row[1:]] for row in rows[1:]], dtype=np.int64)
-    return mat, labels

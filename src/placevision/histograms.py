@@ -103,11 +103,6 @@ def normalize_l1(h: FeatureHistogram) -> FeatureHistogram:
     return FeatureHistogram(h.bins / total, h.binning, normalized=True)
 
 
-def cumulative(h: FeatureHistogram) -> FeatureHistogram:
-    """Running sum over the flat bin order (1-D interpretation)."""
-    return FeatureHistogram(np.cumsum(h.bins), h.binning, normalized=False)
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization: one header line, then one bin value per line.
 # Values are written with 17 significant digits so the decimal round trip

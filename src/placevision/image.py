@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,12 +68,6 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.intensities.shape[0]
-
-
-class HsvPixel(NamedTuple):
-    h: float  # degrees in [0, 360)
-    s: float  # [0, 1]
-    v: float  # [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +206,6 @@ def rgb_to_hsv_planes(pixels: np.ndarray):
     h = np.where(delta > 0, (hp * 60.0) % 360.0, 0.0)
     s = np.where(mx > 0, delta / np.where(mx > 0, mx, 1.0), 0.0)
     return h, s, mx
-
-
-def rgb_to_hsv(r: float, g: float, b: float) -> HsvPixel:
-    """Convert one RGB triple in [0, 1] to (hue deg, saturation, value)."""
-    for name, c in (("r", r), ("g", g), ("b", b)):
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"channel {name}={c} outside [0, 1]")
-    h, s, v = rgb_to_hsv_planes(np.array([r, g, b], dtype=np.float64))
-    return HsvPixel(float(h), float(s), float(v))
 
 
 # ---------------------------------------------------------------------------

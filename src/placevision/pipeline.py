@@ -504,6 +504,16 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
     if not vocab_path.exists():
         raise DataError(f"missing vocabulary {vocab_path} (run the vocab stage first)")
     vocab = bovw_mod.read_vocabulary(vocab_path)
+    part = config.part("bovw")
+    # a k-means vocabulary has the configured k; an incremental one any size
+    k = part.k if part and vocab.built_by == "kmeans" else vocab.k
+    built = (vocab.distance_id, vocab.built_by, vocab.k)
+    wanted = (config.vocab_distance, config.vocab_builder, k)
+    if built != wanted:
+        raise DataError(
+            f"{vocab_path} was built with (distance, builder, k) = {built}, the configuration "
+            f"asks for {wanted}; rerun the vocab stage"
+        )
     feat_dir = Path(out_dir) / "features"
     encoded = 0
     for row in manifest.rows:
@@ -515,6 +525,11 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
         if not len(values):
             log(f"warning: {row.path}: no descriptors, image has no bovw part")
             continue
+        if values.shape[1] != vocab.dim:
+            raise DataError(
+                f"{vocab_path} holds {vocab.dim}-dim words, {desc_file} {values.shape[1]}-dim "
+                "descriptors; rerun the vocab stage"
+            )
         vec = bovw_mod.encode_image(values, vocab)
         write_histogram_csv(vec.as_histogram(), feat_dir / f"{stem}.bovw.csv")
         encoded += 1
@@ -535,6 +550,7 @@ def load_labeled_features(
     logged as a warning."""
     feat_dir = Path(out_dir) / "features"
     rows, bins = [], []
+    first = {}  # part name -> bin count and path of the first file read
     for row in manifest.rows:
         stem = artifact_stem(row.path)
         row_bins = []
@@ -543,7 +559,11 @@ def load_labeled_features(
             if not path.exists():
                 log(f"warning: missing {part.name} artifact for {row.path}: {path}")
                 break
-            row_bins.append(read_histogram_csv(path).bins)
+            h = read_histogram_csv(path).bins
+            width, first_path = first.setdefault(part.name, (h.size, path))
+            if h.size != width:
+                raise DataError(f"{path}: {h.size} bins, but {first_path} has {width}")
+            row_bins.append(h)
         else:
             rows.append(row)
             bins.append(row_bins)

@@ -62,6 +62,7 @@ DESCRIPTOR_CLAMP = 0.2
 ORI_HIST_BINS = 36
 ORI_PEAK_RATIO = 0.8
 MIN_OCTAVE_DIM = 8
+_REFINE_STEPS = 5  # interpolation moves before a candidate is dropped
 # Byte budget of the largest temporary array a batched keypoint kernel
 # builds; each batch is cut into chunks that stay within it.
 _CHUNK_BYTES = 256 * 1024
@@ -102,16 +103,6 @@ class ScaleSpace:
     sigma0: float
     scales_per_octave: int
     _gradients: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def k(self) -> float:
-        return 2.0 ** (1.0 / self.scales_per_octave)
-
-    def sigma_within(self, layer: float) -> float:
-        return self.sigma0 * self.k**layer
-
-    def sigma_abs(self, octave: int, layer: float) -> float:
-        return self.sigma_within(layer) * (2.0**octave)
 
     def gradients(self, octave: int, layer: int):
         """Cached central-difference gradients (dx, dy) of a blur level."""
@@ -281,10 +272,10 @@ def _dog_derivatives(stack: np.ndarray, l: np.ndarray, y: np.ndarray, x: np.ndar
     return g, hess
 
 
-def _refine_chunk(stack, pos, contrast_threshold, edge_ratio, max_steps):
+def _refine_chunk(stack, pos, contrast_threshold, edge_ratio):
     """Batched sub-pixel refinement of lattice points pos (n, 3) of
-    (layer, y, x); returns the accepted mask, final lattice points and
-    offsets."""
+    (layer, y, x), at most _REFINE_STEPS moves each; returns the accepted
+    mask, final lattice points and offsets."""
     n_layers, h, w = stack.shape
     pos = pos.copy()
     n = len(pos)
@@ -293,7 +284,7 @@ def _refine_chunk(stack, pos, contrast_threshold, edge_ratio, max_steps):
     offset = np.zeros((n, 3))
     converged = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    for _ in range(max_steps):
+    for _ in range(_REFINE_STEPS):
         if not active.size:
             break
         g, hs = _dog_derivatives(stack, *pos[active].T)
@@ -334,7 +325,6 @@ def _refine_octave(
     cands: np.ndarray,
     contrast_threshold: float,
     edge_ratio: float,
-    max_steps: int = 5,
 ):
     """Sub-pixel localization of one octave's candidates (n, 3) of
     (layer, y, x), with contrast and edge-response rejection.
@@ -351,7 +341,7 @@ def _refine_octave(
     # the largest per-candidate temporary is its (3, 3) float64 Hessian
     for start, stop in _chunks(np.full(n, 9 * 8)):
         accepted[start:stop], pos[start:stop], off[start:stop] = _refine_chunk(
-            stack, cands[start:stop], contrast_threshold, edge_ratio, max_steps
+            stack, cands[start:stop], contrast_threshold, edge_ratio
         )
     pos, off = pos[accepted], off[accepted]
 
@@ -371,7 +361,6 @@ def refine_keypoint(
     dog: DoGPyramid,
     contrast_threshold: float = 0.03,
     edge_ratio: float = 10.0,
-    max_steps: int = 5,
 ) -> Optional[Tuple[np.ndarray, int]]:
     """Sub-pixel localization of one (octave, layer, y, x) candidate row
     with contrast and edge-response rejection.
@@ -381,7 +370,7 @@ def refine_keypoint(
     """
     o, l, y, x = candidate
     xs, ys, sigma, layer = _refine_octave(
-        dog, o, np.array([[l, y, x]], dtype=np.intp), contrast_threshold, edge_ratio, max_steps
+        dog, o, np.array([[l, y, x]], dtype=np.intp), contrast_threshold, edge_ratio
     )
     if not len(xs):
         return None

@@ -17,21 +17,11 @@ from placevision.classify import (
     KernelSpec,
     ga_optimize_thresholds,
     gram_matrix,
-    ova_predict,
     ova_train,
     svm_train,
 )
 from placevision.cli import main as cli_main
-from placevision.distances import (
-    bhattacharyya,
-    chi_square,
-    emd,
-    get_measure,
-    jeffrey,
-    linear_ground_distance,
-    match_distance,
-    minkowski,
-)
+from placevision.distances import emd, linear_ground_distance, pairwise_distances
 from placevision.evaluate import metrics
 from placevision.image import GrayImage
 from placevision.pipeline import (
@@ -66,13 +56,14 @@ def test_criterion_1_dissimilarity_oracle_suite():
     h /= h.sum()
     for mid in ["euclidean", "minkowski:1", "minkowski:3", "kl", "jeffrey",
                 "chi2", "chi2sym", "bhattacharyya", "emd", "match"]:
-        identity_ok &= abs(get_measure(mid)(h, h.copy())) <= 1e-12
+        identity_ok &= abs(pairwise_distances(mid, h, h.copy())[0, 0]) <= 1e-12
 
     triangle_ok = True
     for _ in range(1000):
         a, b, c = rng.random((3, 6)) * 10
         for r in (1.0, 2.0, 3.0):
-            if minkowski(a, c, r) > minkowski(a, b, r) + minkowski(b, c, r) + 1e-9:
+            d = pairwise_distances(f"minkowski:{r}", [a, b], [b, c])  # rows a, b; columns b, c
+            if d[0, 1] > d[0, 0] + d[1, 1] + 1e-9:
                 triangle_ok = False
 
     emd_ok = True
@@ -96,7 +87,7 @@ def test_criterion_1_dissimilarity_oracle_suite():
         v = rng.random(n)
         v /= v.sum()
         cost, _ = emd(u, v, linear_ground_distance(n))
-        if abs(cost - match_distance(u, v)) > 1e-9:
+        if abs(cost - pairwise_distances("match", u, v)[0, 0]) > 1e-9:
             match_ok = False
 
     elapsed = time.time() - t0
@@ -113,9 +104,9 @@ def test_criterion_1_dissimilarity_oracle_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_hand_values():
-    ok = abs(jeffrey([1.0, 0.0], [0.0, 1.0]) - 2 * math.log(2)) <= 1e-9
-    ok &= abs(chi_square([0.5, 0.5], [0.25, 0.75]) - 0.25) <= 1e-12
-    ok &= abs(bhattacharyya([0.64, 0.36], [0.36, 0.64]) - (-math.log(0.96))) <= 1e-9
+    ok = abs(pairwise_distances("jeffrey", [1.0, 0.0], [0.0, 1.0])[0, 0] - 2 * math.log(2)) <= 1e-9
+    ok &= abs(pairwise_distances("chi2", [0.5, 0.5], [0.25, 0.75])[0, 0] - 0.25) <= 1e-12
+    ok &= abs(pairwise_distances("bhattacharyya", [0.64, 0.36], [0.36, 0.64])[0, 0] - (-math.log(0.96))) <= 1e-9
     report(2, "jeffrey=2ln2, chi2=0.25, bhattacharyya=-ln(0.96)", ok)
 
 
@@ -269,9 +260,8 @@ def test_criterion_5_bovw_suite():
     oracle_vocab = Vocabulary(rng.random((25, 5)))
     queries = rng.random((1000, 5))
     quantize_ok = all(
-        quantize(q, oracle_vocab)
-        == int(np.argmin(np.linalg.norm(oracle_vocab.centers - q, axis=1)))
-        for q in queries
+        got == int(np.argmin(np.linalg.norm(oracle_vocab.centers - q, axis=1)))
+        for q, got in zip(queries, quantize(queries, oracle_vocab))
     )
 
     report(
@@ -296,7 +286,7 @@ def test_criterion_6_svm_suite():
     x = np.vstack([rng.normal(c, 0.1, (30, 2)) for c in centers])
     labels = ["a"] * 30 + ["b"] * 30 + ["c"] * 30
     model = ova_train(x, labels, KernelSpec("rbf", sigma=1.0), c=10.0)
-    acc = np.mean([ova_predict(model, row)[0] == lb for row, lb in zip(x, labels)])
+    acc = np.mean([p == lb for p, lb in zip(model.decide(model.scores(x))[0], labels)])
     dual_ok = all(abs(m.dual_coef.sum()) <= 1e-6 for m in model.machines.values())
     dual_ok &= abs(two.dual_coef.sum()) <= 1e-6
 

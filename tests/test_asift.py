@@ -22,7 +22,7 @@ def test_identity_view_is_the_input(tex):
 
 def test_tilt_latitude_relation():
     v = make_view(blob_texture(seed=1, size=64), math.sqrt(2.0), 0.0)
-    assert v.latitude_deg == pytest.approx(45.0)
+    assert math.degrees(math.acos(1.0 / v.tilt)) == pytest.approx(45.0)
 
 
 def test_view_count_follows_phi_sampling_rule(tex):

@@ -16,6 +16,7 @@ from placevision.bovw import (
     write_vocabulary,
 )
 from placevision.distances import pairwise_distances, parse_measure, sq_euclidean_gram
+from tests.test_distances import ALL_MEASURE_IDS
 
 
 def three_clusters(rng, n_per=10, spread=0.12):
@@ -262,6 +263,35 @@ def test_incremental_is_order_sensitive():
     assert v1.built_by == "incremental"
 
 
+def loop_incremental_vocab(descriptors, threshold, distance_id):
+    """Reference: the builder as a loop of one scalar comparison per word."""
+    x = np.asarray(descriptors, dtype=np.float64)
+    x = x / np.abs(x).sum(axis=1)[:, None]
+    words = [x[0]]
+    for row in x[1:]:
+        best = min(pairwise_distances(distance_id, row, w)[0, 0] for w in words)
+        if best > threshold:
+            words.append(row)
+    return np.stack(words)
+
+
+@pytest.mark.parametrize("mid", ALL_MEASURE_IDS)
+def test_incremental_equals_the_per_word_loop_byte_for_byte(mid):
+    rng = np.random.default_rng(21)
+    x = rng.random((80, 12)) + 0.01
+    xn = x / x.sum(axis=1, keepdims=True)
+    d = pairwise_distances(mid, xn, xn)
+    # a threshold at the 20% quantile of the pair distances: 2 <= k <= n/2
+    threshold = np.quantile(d[np.triu_indices(len(x), 1)], 0.2)
+    want = loop_incremental_vocab(x, threshold, mid)
+    assert 2 <= len(want) <= len(x) // 2
+    assert incremental_vocab(x, threshold, mid).centers.tobytes() == want.tobytes()
+    # each row's distances to the stacked words are the scalar values, bit for bit
+    for row in xn:
+        scalar = [pairwise_distances(mid, row, w)[0, 0] for w in want]
+        assert pairwise_distances(mid, row, want)[0].tobytes() == np.array(scalar).tobytes()
+
+
 def test_incremental_rejects_empty_and_zero_rows():
     with pytest.raises(ValueError):
         incremental_vocab(np.zeros((0, 3)), 0.5)
@@ -273,20 +303,20 @@ def test_quantize_exact_center_and_tie_rule():
     centers = np.zeros((8, 2))
     centers[:, 0] = np.arange(8)
     vocab = Vocabulary(centers)
-    assert quantize(centers[7], vocab) == 7
+    assert quantize(centers[7:8], vocab).tolist() == [7]
     # equidistant to centers 2 and 5(?): craft equidistant to 2 and 3
-    assert quantize([2.5, 0.0], vocab) == 2
+    assert quantize([[2.5, 0.0]], vocab).tolist() == [2]
     with pytest.raises(ValueError):
-        quantize([1.0, 2.0, 3.0], vocab)
+        quantize([[1.0, 2.0, 3.0]], vocab)
 
 
 def test_quantize_matches_linear_scan_oracle():
     rng = np.random.default_rng(10)
     vocab = Vocabulary(rng.random((30, 6)))
     queries = rng.random((1000, 6))
-    for q in queries:
+    for q, got in zip(queries, quantize(queries, vocab)):
         want = int(np.argmin([np.linalg.norm(q - c) for c in vocab.centers]))
-        assert quantize(q, vocab) == want
+        assert got == want
 
 
 def test_encode_single_word_and_normalization():
@@ -304,12 +334,12 @@ def test_encode_matches_count_oracle():
     vec = encode_image(descs, vocab)
     counts = np.zeros(12)
     for d in descs:
-        counts[quantize(d, vocab)] += 1
+        counts[quantize(d[None], vocab)[0]] += 1
     assert np.allclose(vec.weights, counts / counts.sum(), atol=1e-12)
     assert vec.weights.sum() == pytest.approx(1.0, abs=1e-9)
     # encode support equals the set of quantize results
     support = set(np.nonzero(vec.weights)[0].tolist())
-    assert support == {quantize(d, vocab) for d in descs}
+    assert support == set(quantize(descs, vocab).tolist())
 
 
 def test_encode_rejects_empty_descriptor_set():

@@ -18,7 +18,6 @@ from placevision.classify import (
     median_heuristic_sigma,
     nn_decide,
     nn_distances,
-    ova_predict,
     ova_train,
     svm_train,
 )
@@ -160,14 +159,15 @@ def blobs_model():
 
 def test_three_blob_rbf_training_accuracy(blobs_model):
     x, labels, model = blobs_model
-    preds = [ova_predict(model, row)[0] for row in x]
+    preds, _ = model.decide(model.scores(x))
     acc = np.mean([p == t for p, t in zip(preds, labels)])
     assert acc >= 0.99
 
 
 def test_scores_vector_shape_and_argmax_shift_invariance(blobs_model):
     x, _, model = blobs_model
-    label, scores = ova_predict(model, x[0])
+    scores = model.scores(x[0])[0]
+    (label,), _ = model.decide(scores[None])
     assert len(scores) == 3
     assert model.labels == ["a", "b", "c"]
     shifted = scores + 5.0
@@ -181,7 +181,7 @@ def test_svm_decision_is_batched_with_ties_to_the_lowest_label(blobs_model):
     assert labels == ["a", "b", "c"]
     assert best.tolist() == [1.0, 2.0, -0.5]
     labels, best = model.decide(model.scores(x))
-    assert labels == [ova_predict(model, row)[0] for row in x]
+    assert labels == [model.decide(model.scores(row))[0][0] for row in x]
     assert np.array_equal(best, model.scores(x).max(axis=1))
 
 
@@ -192,7 +192,7 @@ def test_two_class_ova_agrees_with_binary_sign():
     model = ova_train(x, labels, KernelSpec("linear"), c=10.0)
     binary = svm_train(x, np.array([-1.0] * 12 + [1.0] * 12), KernelSpec("linear"), c=10.0)
     for row in x:
-        pred, _ = ova_predict(model, row)
+        (pred,), _ = model.decide(model.scores(row))
         want = "pos" if binary.decision(row[None, :])[0] > 0 else "neg"
         assert pred == want
 
@@ -210,9 +210,10 @@ def test_composite_distance_identity_and_single_part():
     a = make_cf([0.25, 0.75], measure="jeffrey")
     assert nn_distances(a, labeled([("", a)]))[0][0, 0] == 0.0
     b = make_cf([0.5, 0.5], measure="jeffrey")
-    from placevision.distances import jeffrey
+    from placevision.distances import pairwise_distances
 
-    assert nn_distances(a, labeled([("", b)]))[0][0, 0] == pytest.approx(jeffrey([0.25, 0.75], [0.5, 0.5]))
+    want = pairwise_distances("jeffrey", [0.25, 0.75], [0.5, 0.5])[0, 0]
+    assert nn_distances(a, labeled([("", b)]))[0][0, 0] == pytest.approx(want)
 
 
 def test_composite_distance_two_parts_weighted_mean():

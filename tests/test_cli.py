@@ -646,6 +646,57 @@ def test_descriptor_file_with_non_finite_value_is_data_error(dataset, trained, t
     assert f"{path}: non-finite value in descriptor file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, builder, rc", [
+    ({"centers": np.eye(10, 128)}, "kmeans", 2),  # k-means k 10, configured 12
+    ({"distance_id": "minkowski:1"}, "kmeans", 2),
+    ({"built_by": "incremental"}, "kmeans", 2),
+    ({"centers": np.eye(5, 128), "built_by": "incremental"}, "incremental", 0),  # any k
+], ids=["k", "distance", "builder", "incremental-any-k"])
+def test_stale_vocabulary_is_data_error_naming_it(dataset, trained, tmp_path, capsys, change, builder, rc):
+    from placevision.bovw import read_vocabulary, write_vocabulary
+
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / "vocab.bin"
+    write_vocabulary(replace(read_vocabulary(path), **change), path)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(CONFIG + f"vocab.builder = {builder}\n")
+    capsys.readouterr()
+    assert run_stage(["encode", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                      "--out", out]) == rc
+    if rc:
+        assert f"{path} was built with (distance, builder, k)" in capsys.readouterr().err
+
+
+def test_vocabulary_of_another_descriptor_dimension_is_data_error(dataset, trained, tmp_path, capsys):
+    from placevision.bovw import Vocabulary, read_vocabulary, write_vocabulary
+
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / "vocab.bin"
+    k = read_vocabulary(path).k
+    write_vocabulary(Vocabulary(np.eye(k, 384)), path)  # rgbsift words, sift descriptors
+    capsys.readouterr()
+    assert run_stage(["encode", "--manifest", dataset / "manifest.tsv", "--config",
+                      dataset / "pipeline.cfg", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} holds 384-dim words, " in err and ".desc 128-dim descriptors" in err
+
+
+def test_histogram_of_another_width_is_data_error_naming_both_files(dataset, trained, tmp_path, capsys):
+    from placevision.histograms import FeatureHistogram, normalize_l1, write_histogram_csv
+
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    rows = read_manifest(dataset / "manifest.tsv").rows
+    first, odd = (out / "features" / f"{artifact_stem(r.path)}.rgb.csv" for r in (rows[0], rows[-1]))
+    write_histogram_csv(normalize_l1(FeatureHistogram(np.ones(64), "4x4x4")), odd)
+    capsys.readouterr()
+    assert run_stage(["predict", "--manifest", dataset / "manifest.tsv", "--config",
+                      dataset / "pipeline.cfg", "--out", out]) == 2
+    assert f"{odd}: 64 bins, but {first} has 1000" in capsys.readouterr().err
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and runs the
     tasks in this process, so no worker is ever started."""
@@ -712,6 +763,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     import placevision
 
     assert [n for n in placevision.__all__ if not hasattr(placevision, n)] == []
+    assert "pairwise_distances" in placevision.__all__ and "get_measure" not in placevision.__all__
 
 
 def test_ga_seed_follows_the_config_seed_however_the_config_is_built():

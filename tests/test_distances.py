@@ -11,17 +11,10 @@ from scipy.optimize import linprog
 from placevision import distances
 from placevision.distances import (
     INFINITE_DISTANCE,
-    bhattacharyya,
-    chi_square,
     emd,
-    euclidean,
-    get_measure,
-    jeffrey,
-    kullback_leibler,
     linear_ground_distance,
-    match_distance,
-    minkowski,
     pairwise_distances,
+    parse_measure,
 )
 
 ALL_MEASURE_IDS = [
@@ -78,13 +71,12 @@ def test_identity_gives_zero_for_every_measure():
     h = rng.random(8)
     h /= h.sum()
     for mid in ALL_MEASURE_IDS:
-        fn = get_measure(mid)
-        assert abs(fn(h, h.copy())) < 1e-12, mid
+        assert abs(pairwise_distances(mid, h, h.copy())[0, 0]) < 1e-12, mid
 
 
 def test_minkowski_hand_values():
-    assert minkowski([1, 0], [0, 1], 2) == pytest.approx(math.sqrt(2))
-    assert euclidean([1, 0], [0, 1]) == pytest.approx(math.sqrt(2))
+    assert pairwise_distances("minkowski:2", [1, 0], [0, 1])[0, 0] == pytest.approx(math.sqrt(2))
+    assert pairwise_distances("euclidean", [1, 0], [0, 1])[0, 0] == pytest.approx(math.sqrt(2))
 
 
 def test_minkowski_r1_matches_direct_loop():
@@ -92,68 +84,62 @@ def test_minkowski_r1_matches_direct_loop():
     for _ in range(20):
         a, b = rng.random(12), rng.random(12)
         direct = sum(abs(x - y) for x, y in zip(a, b))
-        assert minkowski(a, b, 1) == pytest.approx(direct, abs=1e-12)
+        assert pairwise_distances("minkowski:1", a, b)[0, 0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_minkowski_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        minkowski([1, 2], [1, 2, 3], 2)
+        pairwise_distances("minkowski:2", [1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
-        minkowski([1], [1], 0.5)
+        pairwise_distances("minkowski:0.5", [1], [1])
 
 
 def test_kl_hand_value_and_asymmetry():
     h, k = np.array([0.75, 0.25]), np.array([0.25, 0.75])
-    assert kullback_leibler(h, k) == pytest.approx(0.5 * math.log(3), abs=1e-12)
+    assert pairwise_distances("kl", h, k)[0, 0] == pytest.approx(0.5 * math.log(3), abs=1e-12)
     a, b = np.array([0.9, 0.1]), np.array([0.5, 0.5])
-    assert kullback_leibler(a, b) != pytest.approx(kullback_leibler(b, a))
+    assert pairwise_distances("kl", a, b)[0, 0] != pytest.approx(pairwise_distances("kl", b, a)[0, 0])
 
 
 def test_kl_requires_normalized():
     with pytest.raises(ValueError):
-        kullback_leibler([1.0, 1.0], [0.5, 0.5])
-
-
-def test_kl_printed_form_flag():
-    # comparison-only variant without the H_i weight
-    h, k = np.array([0.75, 0.25]), np.array([0.25, 0.75])
-    printed = kullback_leibler(h, k, printed_form=True)
-    assert printed == pytest.approx(math.log(3) + math.log(1 / 3), abs=1e-12)
-    assert printed != pytest.approx(kullback_leibler(h, k))
+        pairwise_distances("kl", [1.0, 1.0], [0.5, 0.5])
 
 
 def test_jeffrey_hand_value_and_symmetry():
-    assert jeffrey([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2 * math.log(2), abs=1e-12)
+    assert pairwise_distances("jeffrey", [1.0, 0.0], [0.0, 1.0])[0, 0] == pytest.approx(2 * math.log(2), abs=1e-12)
     rng = np.random.default_rng(2)
     for _ in range(10):
         a, b = rng.random(6), rng.random(6)
-        assert jeffrey(a, b) == pytest.approx(jeffrey(b, a), abs=1e-12)
+        assert pairwise_distances("jeffrey", a, b)[0, 0] == pytest.approx(
+            pairwise_distances("jeffrey", b, a)[0, 0], abs=1e-12
+        )
 
 
 def test_chi_square_hand_value_and_zero_bin_skip():
-    assert chi_square([0.5, 0.5], [0.25, 0.75]) == pytest.approx(0.25, abs=1e-15)
+    assert pairwise_distances("chi2", [0.5, 0.5], [0.25, 0.75])[0, 0] == pytest.approx(0.25, abs=1e-15)
     # H_i = 0 bins contribute nothing in the asymmetric form
-    assert chi_square([0.0, 1.0], [0.5, 1.0]) == pytest.approx(0.0)
+    assert pairwise_distances("chi2", [0.0, 1.0], [0.5, 1.0])[0, 0] == pytest.approx(0.0)
     # printed form is asymmetric; symmetric flag restores symmetry
     a, b = np.array([0.9, 0.1]), np.array([0.5, 0.5])
-    assert chi_square(a, b) != pytest.approx(chi_square(b, a))
-    assert chi_square(a, b, symmetric=True) == pytest.approx(
-        chi_square(b, a, symmetric=True), abs=1e-12
+    assert pairwise_distances("chi2", a, b)[0, 0] != pytest.approx(pairwise_distances("chi2", b, a)[0, 0])
+    assert pairwise_distances("chi2sym", a, b)[0, 0] == pytest.approx(
+        pairwise_distances("chi2sym", b, a)[0, 0], abs=1e-12
     )
 
 
 def test_bhattacharyya_hand_values():
-    assert bhattacharyya([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=1e-12)
-    assert bhattacharyya([0.64, 0.36], [0.36, 0.64]) == pytest.approx(
+    assert pairwise_distances("bhattacharyya", [0.5, 0.5], [0.5, 0.5])[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert pairwise_distances("bhattacharyya", [0.64, 0.36], [0.36, 0.64])[0, 0] == pytest.approx(
         -math.log(0.96), abs=1e-12
     )
-    assert bhattacharyya([1.0, 0.0], [0.0, 1.0]) == INFINITE_DISTANCE
+    assert pairwise_distances("bhattacharyya", [1.0, 0.0], [0.0, 1.0])[0, 0] == INFINITE_DISTANCE
 
 
 def test_match_distance_hand_value_and_mass_check():
-    assert match_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+    assert pairwise_distances("match", [1.0, 0.0], [0.0, 1.0])[0, 0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        match_distance([1.0, 0.0], [0.0, 2.0])
+        pairwise_distances("match", [1.0, 0.0], [0.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +190,7 @@ def test_emd_equals_match_distance_for_equal_mass_1d():
         k = rng.random(n)
         k /= k.sum()
         cost, _ = emd(h, k, linear_ground_distance(n))
-        assert cost == pytest.approx(match_distance(h, k), abs=1e-9)
+        assert cost == pytest.approx(pairwise_distances("match", h, k)[0, 0], abs=1e-9)
 
 
 def test_emd_rejects_degenerate_inputs():
@@ -224,11 +210,12 @@ nonneg_vectors = arrays(np.float64, 6, elements=st.floats(0, 100))
 @given(nonneg_vectors, nonneg_vectors, nonneg_vectors, st.sampled_from([1.0, 2.0, 3.0]))
 @settings(max_examples=300, deadline=None)
 def test_minkowski_is_a_metric(a, b, c, r):
-    dab, dbc, dac = minkowski(a, b, r), minkowski(b, c, r), minkowski(a, c, r)
+    d = pairwise_distances(f"minkowski:{r}", [a, b, c], [a, b, c])
+    dab, dbc, dac = d[0, 1], d[1, 2], d[0, 2]
     assert dab >= 0
-    assert dab == pytest.approx(minkowski(b, a, r), abs=1e-9)
+    assert dab == pytest.approx(d[1, 0], abs=1e-9)
     assert dac <= dab + dbc + 1e-9
-    assert minkowski(a, a, r) == 0.0
+    assert d[0, 0] == 0.0
 
 
 def test_symmetric_measures_are_symmetric():
@@ -237,51 +224,48 @@ def test_symmetric_measures_are_symmetric():
         a = rng.random(7)
         b = rng.random(7)
         an, bn = a / a.sum(), b / b.sum()
-        assert jeffrey(a, b) == pytest.approx(jeffrey(b, a), abs=1e-12)
-        assert bhattacharyya(an, bn) == pytest.approx(bhattacharyya(bn, an), abs=1e-12)
-        assert chi_square(a, b, symmetric=True) == pytest.approx(
-            chi_square(b, a, symmetric=True), abs=1e-12
-        )
+        for mid, u, v in (("jeffrey", a, b), ("bhattacharyya", an, bn), ("chi2sym", a, b), ("match", an, bn)):
+            d = pairwise_distances(mid, [u, v], [u, v])
+            assert d[0, 1] == pytest.approx(d[1, 0], abs=1e-12), mid
         ec, _ = emd(an, bn)
         ec2, _ = emd(bn, an)
         assert ec == pytest.approx(ec2, abs=1e-9)
-        assert match_distance(an, bn) == pytest.approx(match_distance(bn, an), abs=1e-12)
 
 
 def test_stored_asymmetry_counterexample():
     a, b = np.array([0.9, 0.1]), np.array([0.5, 0.5])
-    assert abs(kullback_leibler(a, b) - kullback_leibler(b, a)) > 0.1
-    assert abs(chi_square(a, b) - chi_square(b, a)) > 0.1
+    for mid in ("kl", "chi2"):
+        d = pairwise_distances(mid, [a, b], [a, b])
+        assert abs(d[0, 1] - d[1, 0]) > 0.1, mid
 
 
 def test_measure_registry_ids():
     for mid in ALL_MEASURE_IDS:
-        assert callable(get_measure(mid))
+        assert callable(parse_measure(mid)[0])
     for bad in ("nosuch", "minkowski:0.5", "minkowski:x", "minkowski:", "minkowski:inf"):
         with pytest.raises(ValueError):
-            get_measure(bad)
-    assert get_measure("minkowski:3")([0, 1], [0, 1]) == 0.0
+            pairwise_distances(bad, [0, 1], [0, 1])
+    assert pairwise_distances("minkowski:3", [0, 1], [0, 1])[0, 0] == 0.0
 
 
 def test_pairwise_matches_scalar_measures():
+    # every cell of a block equals the 1x1 call on its two rows
     rng = np.random.default_rng(13)
     q = rng.random((4, 9))
     g = rng.random((5, 9))
     qn = q / q.sum(axis=1, keepdims=True)
     gn = g / g.sum(axis=1, keepdims=True)
     for mid in ALL_MEASURE_IDS:
-        fn = get_measure(mid)
         mat = pairwise_distances(mid, qn, gn)
         assert mat.shape == (4, 5)
         for i in range(4):
             for j in range(5):
-                assert mat[i, j] == pytest.approx(fn(qn[i], gn[j]), abs=1e-9), mid
+                assert mat[i, j] == pytest.approx(pairwise_distances(mid, qn[i], gn[j])[0, 0], abs=1e-9), mid
     for mid in ["euclidean", "minkowski:1", "minkowski:3", "jeffrey", "chi2", "chi2sym"]:
-        fn = get_measure(mid)
         mat = pairwise_distances(mid, q, g)
         for i in range(4):
             for j in range(5):
-                assert mat[i, j] == pytest.approx(fn(q[i], g[j]), abs=1e-9), mid
+                assert mat[i, j] == pytest.approx(pairwise_distances(mid, q[i], g[j])[0, 0], abs=1e-9), mid
     # emd: the closed form (equal masses) and the simplex (unequal) agree with emd()
     for a, b in ((qn, gn), (q, g)):
         mat = pairwise_distances("emd", a, b)

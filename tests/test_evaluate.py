@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from placevision.evaluate import (
     confusion_matrix,
     metrics,
     pr_curve,
-    read_confusion_csv,
     write_report,
 )
 
@@ -136,9 +137,10 @@ def test_write_report_files_and_round_trip(tmp_path):
     paths = write_report(report, tmp_path / "report")
     names = [p.name for p in paths]
     assert names == ["confusion.csv", "pr_curve.csv", "summary.csv"]
-    mat, labels = read_confusion_csv(paths[0])
-    assert labels == report.labels
-    assert np.array_equal(mat, report.confusion)
+    with paths[0].open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][1:-1] == report.labels
+    assert np.array_equal([[int(v) for v in row[1:]] for row in rows[1:]], report.confusion)
     summary = paths[2].read_text().splitlines()
     assert summary[0] == "class,precision,recall,f_measure,error_rate"
     assert len(summary) == 1 + len(report.labels) + 1  # header + classes + aggregate

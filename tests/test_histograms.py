@@ -8,13 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 from placevision.histograms import (
     FeatureHistogram,
-    cumulative,
     hsv_histogram,
     normalize_l1,
     read_histogram_csv,
     rgb_histogram,
     write_histogram_csv,
 )
+from placevision.distances import pairwise_distances
 from placevision.image import Image
 
 
@@ -130,17 +130,26 @@ def test_normalize_l1_sums_to_one(bins):
     assert abs(normalize_l1(h).bins.sum() - 1.0) < 1e-12
 
 
+# cumulative histograms are the running sums over the flat bin order that
+# the match distance compares in L1
+
+
 def test_cumulative_running_sum():
     h = FeatureHistogram(np.array([1.0, 2.0, 3.0]), "generic:3")
-    assert np.array_equal(cumulative(h).bins, [1.0, 3.0, 6.0])
+    # running sums [1, 3, 6] against [6, 6, 6], all the mass in bin 0
+    assert pairwise_distances("match", h.bins, [6.0, 0.0, 0.0])[0, 0] == 5.0 + 3.0 + 0.0
 
 
 def test_cumulative_zeros_and_total():
     z = FeatureHistogram(np.zeros(4), "generic:4")
-    assert np.array_equal(cumulative(z).bins, np.zeros(4))
+    assert pairwise_distances("match", z.bins, z.bins)[0, 0] == 0.0
     rng = np.random.default_rng(5)
     h = FeatureHistogram(rng.random(9), "generic:9")
-    assert cumulative(h).bins[-1] == pytest.approx(h.total)
+    # the last running sum is the total, so all of it in the last bin leaves
+    # only the other running sums
+    last = np.zeros(9)
+    last[-1] = h.total
+    assert pairwise_distances("match", h.bins, last)[0, 0] == pytest.approx(np.cumsum(h.bins)[:-1].sum())
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from placevision.image import (
     GrayImage,
-    HsvPixel,
     Image,
     PnmError,
     downsample2,
     gaussian_blur,
     gaussian_kernel1d,
     load_pnm,
-    rgb_to_hsv,
+    rgb_to_hsv_planes,
     to_grayscale,
     write_pnm,
     _convolve_axis,
@@ -103,13 +102,13 @@ def test_to_grayscale_constant_image():
     ],
 )
 def test_rgb_to_hsv_reference_points(rgb, expected):
-    got = rgb_to_hsv(*rgb)
-    assert got == pytest.approx(HsvPixel(*expected), abs=1e-12)
+    got = tuple(float(c) for c in rgb_to_hsv_planes(np.array(rgb)))
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_rgb_to_hsv_negative_hue_wraps():
     # max = r with g < b gives a negative hue prime; must wrap into [0, 360)
-    h, s, v = rgb_to_hsv(1.0, 0.0, 0.5)
+    h, s, v = rgb_to_hsv_planes(np.array([1.0, 0.0, 0.5]))
     assert 0.0 <= h < 360.0
     assert h == pytest.approx(330.0)
 
@@ -130,7 +129,7 @@ def test_hsv_inverse_reconstructs_chromatic_pixels(rgb):
     r, g, b = rgb
     if max(rgb) - min(rgb) <= 1e-6:
         return
-    h, s, v = rgb_to_hsv(r, g, b)
+    h, s, v = rgb_to_hsv_planes(np.array([r, g, b]))
     assert np.allclose(_hsv_to_rgb(h, s, v), rgb, atol=1e-9)
 
 

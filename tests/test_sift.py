@@ -52,7 +52,7 @@ def test_default_pyramid_shape():
     assert len(ss.octaves) == 4
     assert all(len(o) == 5 for o in ss.octaves)
     assert ss.octaves[1][0].width == 48
-    assert ss.sigma_abs(1, 0) == pytest.approx(2 * 1.6)
+    assert ss.sigma0 * 2**1 == pytest.approx(2 * 1.6)
     dog = build_dog(ss)
     assert all(stack.shape[0] == 4 for stack in dog.octaves)
 
