@@ -86,22 +86,30 @@ def _is_euclidean(distance_id: str) -> bool:
     return parse_measure(distance_id)[1].get("r") == 2.0
 
 
+_BLOCK_CELLS = 1 << 15  # cells of the (rows, k) norm-sum block: 256 KiB of float64
+
+
 def _distances_to(x: np.ndarray, distance_id: str):
     """Function of a (k, dim) center matrix giving the (n, k) distances from
     the rows of x.  Euclidean ones use the inner-product form of
     `sq_euclidean_gram`, with the row norms of x computed once here and the
-    same operation order, in place."""
+    same operation order, in place: into ``out`` when it is given, an (n, k)
+    float64 buffer, with one bounded block of norm sums beside it."""
     if not _is_euclidean(distance_id):
         return lambda centers: pairwise_distances(distance_id, x, centers)
     xx = (x * x).sum(axis=1)[:, None]
 
-    def euclidean(centers: np.ndarray) -> np.ndarray:
-        d = xx + (centers * centers).sum(axis=1)[None, :]
-        dots = x @ centers.T
-        dots *= 2.0  # exact, so this equals (2.0 * x) @ centers.T bit for bit
-        d -= dots
-        np.maximum(d, 0.0, out=d)
-        return np.sqrt(d, out=d)
+    def euclidean(centers: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        cc = (centers * centers).sum(axis=1)[None, :]
+        d = np.matmul(x, centers.T, out=out)
+        d *= 2.0  # exact, so this equals (2.0 * x) @ centers.T bit for bit
+        rows = max(1, _BLOCK_CELLS // d.shape[1])
+        for start in range(0, d.shape[0], rows):
+            block = d[start : start + rows]
+            np.subtract(xx[start : start + rows] + cc, block, out=block)
+            np.maximum(block, 0.0, out=block)
+            np.sqrt(block, out=block)
+        return d
 
     return euclidean
 
@@ -120,6 +128,10 @@ def kmeans(
     squared cost is checked to be non-increasing every iteration; for
     other assignment distances the mean update is a standard
     approximation and the cost trace is only recorded.
+
+    Working memory beside the input: under the Euclidean distance, one
+    (n, k) float64 buffer that every Lloyd iteration reuses, plus a
+    transient copy of the input while distinct rows are counted.
     """
     x = _as_matrix(descriptors)
     if max_iter < 1:
@@ -143,10 +155,11 @@ def kmeans(
         centers[j] = x[idx]
         d = np.minimum(d, distances(centers[j : j + 1])[:, 0] ** 2)
 
+    buf = np.empty((n, k)) if euclid else None
     assign = np.full(n, -1)
     costs: List[float] = []
     for _ in range(max_iter):
-        dists = distances(centers)
+        dists = distances(centers) if buf is None else distances(centers, buf)
         new_assign = dists.argmin(axis=1)
         nearest = dists[np.arange(n), new_assign]
         cost = float((nearest**2).sum()) if euclid else float(nearest.sum())

@@ -476,6 +476,7 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
     if not stacks:
         raise DataError("no descriptors found; did the features stage run?")
     descriptors = np.vstack(stacks)
+    del stacks  # the stacked matrix is the one copy held while clustering
     if descriptors.shape[0] > config.vocab_sample_cap:
         rng = np.random.default_rng(config.seed)
         idx = rng.choice(descriptors.shape[0], size=config.vocab_sample_cap, replace=False)
@@ -513,6 +514,12 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
         raise DataError(
             f"{vocab_path} was built with (distance, builder, k) = {built}, the configuration "
             f"asks for {wanted}; rerun the vocab stage"
+        )
+    # the seed picks the k-means start; the incremental builder draws nothing
+    if vocab.built_by == "kmeans" and vocab.seed != config.seed:
+        raise DataError(
+            f"{vocab_path} was built with seed {vocab.seed}, the configuration asks for "
+            f"seed {config.seed}; rerun the vocab stage"
         )
     feat_dir = Path(out_dir) / "features"
     encoded = 0

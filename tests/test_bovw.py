@@ -16,6 +16,8 @@ from placevision.bovw import (
     write_vocabulary,
 )
 from placevision.distances import pairwise_distances, parse_measure, sq_euclidean_gram
+from placevision.pipeline import Manifest, ManifestRow, artifact_stem, parse_config_text, run_vocab
+from placevision.sift import write_descriptors
 from tests.test_distances import ALL_MEASURE_IDS
 
 
@@ -242,6 +244,56 @@ def test_kmeans_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * x.nbytes, (peak, x.nbytes)
+
+
+@pytest.mark.parametrize("dim", [128, 384])
+def test_kmeans_is_bit_identical_to_mask_loop_at_pipeline_shapes(dim):
+    # the vocab stage clusters about 4,000 SIFT (128) or RGB-SIFT (384)
+    # descriptors into 100 words; BLAS takes other kernel paths there than
+    # at the small shapes above
+    events = {"zero_total": 0, "reseeds": 0}
+    for seed in range(3):
+        x = np.random.default_rng([dim, seed]).random((4000, dim))
+        want = mask_loop_kmeans(x, 100, "euclidean", seed, 6, events)
+        got = kmeans(x, 100, "euclidean", seed, 6)
+        assert got.centers.tobytes() == want[0].tobytes(), (dim, seed)
+        assert got.cost_history == want[1], (dim, seed)
+
+
+def test_kmeans_working_memory_is_one_distance_buffer():
+    n, k = 4000, 100
+    x = np.random.default_rng(13).random((n, 128))  # allocated before tracing
+    tracemalloc.start()
+    try:
+        kmeans(x, k=k, seed=1, max_iter=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * max(x.nbytes, n * k * 8), (peak, x.nbytes)
+
+
+def test_vocab_stage_holds_one_copy_of_the_descriptors(tmp_path):
+    config = parse_config_text("features.parts = bovw\nbovw.k = 100\nvocab.max_iter = 5\n")
+    feat = tmp_path / "features"
+    feat.mkdir()
+    (feat / "config_id.txt").write_text(config.config_id(), encoding="utf-8")
+    rng = np.random.default_rng(5)
+    rows = [ManifestRow(f"img{i:02d}.png", "room", 1) for i in range(40)]
+    dim = 128
+    for row in rows:
+        values = rng.random((100, dim)).astype("<f4")
+        write_descriptors((np.zeros((100, 4)), values), feat / f"{artifact_stem(row.path)}.desc")
+    n = 100 * len(rows)
+    matrix, stack, buffer = n * dim * 8, n * (4 + dim) * 8, n * 100 * 8  # float64 bytes
+    tracemalloc.start()
+    try:
+        run_vocab(Manifest(rows, tmp_path), config, tmp_path, log=lambda msg: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stacked matrix, the per-file records it was stacked from, one
+    # (n, k) distance buffer: all three at once bound what the stage holds
+    assert peak < matrix + stack + buffer, (peak, matrix)
 
 
 def test_incremental_threshold_extremes():

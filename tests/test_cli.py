@@ -669,18 +669,44 @@ def test_stale_vocabulary_is_data_error_naming_it(dataset, trained, tmp_path, ca
 
 
 def test_vocabulary_of_another_descriptor_dimension_is_data_error(dataset, trained, tmp_path, capsys):
-    from placevision.bovw import Vocabulary, read_vocabulary, write_vocabulary
+    from placevision.bovw import read_vocabulary, write_vocabulary
 
     out = tmp_path / "out"
     shutil.copytree(trained, out)
     path = out / "vocab.bin"
-    k = read_vocabulary(path).k
-    write_vocabulary(Vocabulary(np.eye(k, 384)), path)  # rgbsift words, sift descriptors
+    vocab = read_vocabulary(path)
+    write_vocabulary(replace(vocab, centers=np.eye(vocab.k, 384)), path)  # rgbsift words, sift descriptors
     capsys.readouterr()
     assert run_stage(["encode", "--manifest", dataset / "manifest.tsv", "--config",
                       dataset / "pipeline.cfg", "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"{path} holds 384-dim words, " in err and ".desc 128-dim descriptors" in err
+
+
+def test_kmeans_vocabulary_of_another_seed_is_data_error_naming_it(dataset, trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    man, cfg = dataset / "manifest.tsv", dataset / "pipeline.cfg"
+    assert run_stage(["vocab", "--manifest", man, "--config", cfg, "--out", out,
+                      "--sequences", "1,3", "--seed", "12"]) == 0
+    capsys.readouterr()
+    assert run_stage(["encode", "--manifest", man, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'vocab.bin'} was built with seed 12, the configuration asks for seed 5" in err
+    assert "rerun the vocab stage" in err
+
+
+def test_incremental_vocabulary_of_any_seed_is_accepted(dataset, trained, tmp_path):
+    from placevision.bovw import read_vocabulary, write_vocabulary
+
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / "vocab.bin"
+    write_vocabulary(replace(read_vocabulary(path), built_by="incremental", seed=12), path)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(CONFIG + "vocab.builder = incremental\n")
+    assert run_stage(["encode", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                      "--out", out]) == 0
 
 
 def test_histogram_of_another_width_is_data_error_naming_both_files(dataset, trained, tmp_path, capsys):

@@ -1,0 +1,114 @@
+"""`tools/digests.py` is the byte-identity matrix: small pipeline runs whose
+whole-tree digests two checkouts must share.  These tests keep it complete:
+every choice of every configuration key is used by some run."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from placevision import distances, pipeline
+from placevision.bovw import incremental_vocab, kmeans, quantize
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# vocab.distance ids no run takes.  Descriptors are not L1-normalized, so kl,
+# bhattacharyya and match refuse them (checked below); emd takes them through
+# a transportation problem per descriptor-word pair, far too slow to run.
+NOT_VOCAB_DISTANCES = {"kl", "bhattacharyya", "match", "emd"}
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return _load("tools_digests", ROOT / "tools" / "digests.py")
+
+
+def _measure_name(measure_id):
+    return measure_id.partition(":")[0]  # minkowski:3 -> minkowski
+
+
+def _is_part_measure(key, accepts):
+    return accepts is pipeline._measure and key != "vocab.distance"
+
+
+def choices(accepts):
+    """Every choice a config key accepts; empty for numbers and bin grids."""
+    if isinstance(accepts, dict):
+        return set(accepts.values())
+    if isinstance(accepts, tuple):
+        return set(accepts)
+    if accepts is pipeline._measure:
+        return set(distances._BLOCKS) | {"minkowski"}
+    if accepts is pipeline._part_names:
+        return set(pipeline._PARTS)
+    return set()
+
+
+def exercised(config):
+    """(key, choice) pairs a run's configuration uses where they matter: the
+    part measures (pooled as "part.measure") and the GA only under the NN
+    classifier, the kernel only under the SVM, vocab.* and bovw.feature only
+    with a bovw part."""
+    used = {("features.parts", p.name) for p in config.parts} | {("classifier.kind", config.classifier)}
+    if config.classifier == "nn":
+        used.add(("ga.enabled", config.ga_enabled))
+        used |= {("part.measure", _measure_name(p.measure)) for p in config.parts}
+    else:
+        used.add(("classifier.kernel", config.kernel))
+    bovw = config.part("bovw")
+    if bovw is not None:
+        used |= {("bovw.feature", bovw.feature), ("vocab.builder", config.vocab_builder),
+                 ("vocab.distance", _measure_name(config.vocab_distance))}
+    return used
+
+
+def test_every_choice_of_every_config_key_is_in_some_run(digests):
+    required = {
+        ("part.measure" if _is_part_measure(key, accepts) else key, choice)
+        for key, accepts in pipeline._CONFIG_KEYS.items()
+        for choice in choices(accepts)
+    } - {("vocab.distance", mid) for mid in NOT_VOCAB_DISTANCES}
+    covered = set().union(*(exercised(pipeline.parse_config_text(text)) for _, _, text in digests.runs()))
+    assert sorted(required - covered, key=str) == []
+
+
+def test_runs_of_a_group_share_its_feature_configuration(digests):
+    for group, name, text in digests.runs():
+        base = digests.GROUPS[group][1]
+        assert pipeline.parse_config_text(text).config_id() == pipeline.parse_config_text(base).config_id(), name
+    cap = pipeline.parse_config_text(dict((n, t) for _, n, t in digests.runs())["sift/svm-linear-cap1500"])
+    assert cap.vocab_sample_cap == 1500
+
+
+def test_gallery_runs_are_the_benchmark_configuration(digests):
+    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    assert digests.GALLERY_NN == workloads.NN_CONFIG
+    assert digests.GROUPS["gallery-nn"][0] == (workloads.SCALES["full"]["gallery_per_class"], 1000)
+    seeds = [pipeline.parse_config_text(t).seed for g, _, t in digests.runs() if g == "gallery-nn"]
+    assert seeds == list(range(7, 31))
+
+
+@pytest.mark.parametrize("measure_id", sorted(NOT_VOCAB_DISTANCES - {"emd"}))
+def test_measures_left_out_as_vocab_distance_refuse_raw_descriptors(measure_id):
+    x = np.random.default_rng(3).random((60, 8))  # positive rows, L1 norms about 4
+    with pytest.raises(ValueError):
+        kmeans(x, k=4, distance_id=measure_id, seed=1)
+    with pytest.raises(ValueError):
+        quantize(x, incremental_vocab(x, threshold=0.1, distance_id=measure_id))
+
+
+def test_one_run_prints_its_tree_digest(digests, tmp_path):
+    got = digests.digests(ROOT / "src", tmp_path, jobs=1, only=["sift/criterion10-svm"])
+    assert list(got) == ["sift/criterion10-svm"] and re.fullmatch(r"[0-9a-f]{64}", got["sift/criterion10-svm"])
+    out = tmp_path / "runs" / "sift" / "criterion10-svm"
+    assert got["sift/criterion10-svm"] == digests.tree_sha256(out)
+    assert {"vocab.bin", "model.bin", "predictions.csv"} <= {p.name for p in out.iterdir()}
