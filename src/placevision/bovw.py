@@ -94,9 +94,10 @@ def _distances_to(x: np.ndarray, distance_id: str):
     the rows of x.  Euclidean ones use the inner-product form of
     `sq_euclidean_gram`, with the row norms of x computed once here and the
     same operation order, in place: into ``out`` when it is given, an (n, k)
-    float64 buffer, with one bounded block of norm sums beside it."""
+    float64 buffer, with one bounded block of norm sums beside it.  Other
+    distances ignore ``out``."""
     if not _is_euclidean(distance_id):
-        return lambda centers: pairwise_distances(distance_id, x, centers)
+        return lambda centers, out=None: pairwise_distances(distance_id, x, centers)
     xx = (x * x).sum(axis=1)[:, None]
 
     def euclidean(centers: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -159,7 +160,7 @@ def kmeans(
     assign = np.full(n, -1)
     costs: List[float] = []
     for _ in range(max_iter):
-        dists = distances(centers) if buf is None else distances(centers, buf)
+        dists = distances(centers, buf)
         new_assign = dists.argmin(axis=1)
         nearest = dists[np.arange(n), new_assign]
         cost = float((nearest**2).sum()) if euclid else float(nearest.sum())

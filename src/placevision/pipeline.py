@@ -515,7 +515,8 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
             f"{vocab_path} was built with (distance, builder, k) = {built}, the configuration "
             f"asks for {wanted}; rerun the vocab stage"
         )
-    # the seed picks the k-means start; the incremental builder draws nothing
+    # the seed picks the k-means start; an incremental vocabulary records no seed,
+    # although a vocab.sample_cap subsample depends on it (not checked)
     if vocab.built_by == "kmeans" and vocab.seed != config.seed:
         raise DataError(
             f"{vocab_path} was built with seed {vocab.seed}, the configuration asks for "

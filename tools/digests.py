@@ -12,7 +12,7 @@ choice of every configuration key appears at least once, where it is used
 (``tests/test_digests.py`` checks this against ``pipeline._CONFIG_KEYS``).
 The gallery-nn benchmark configuration follows on its dataset seed 1000 at
 config seeds 7-30.  The script prints one JSON object: run name -> sha256
-over the run's artifact directory, relative paths and bytes.
+over the run's artifact directory: relative paths, byte counts and bytes.
 
 ``--src`` names the ``src`` directory whose ``placevision`` runs (default:
 this checkout's), so one copy of this script digests any checkout.  Artifact
@@ -108,11 +108,13 @@ def runs():
 
 
 def tree_sha256(root: Path) -> str:
-    """One digest over every file under ``root``: relative path and bytes."""
+    """One digest over every file under ``root``: relative path, NUL, byte
+    count, NUL and bytes, so no content can pass for a path."""
     h = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        h.update(str(path.relative_to(root)).encode())
-        h.update(path.read_bytes())
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root)}\0{len(data)}\0".encode())
+        h.update(data)
     return h.hexdigest()
 
 
@@ -180,15 +182,10 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1, help="--jobs of the features stage")
     parser.add_argument("--work", type=Path, default=None,
                         help="empty scratch directory, kept (default: a temporary one, removed)")
-    parser.add_argument("--only", action="append", default=[], metavar="GROUP/RUN",
-                        help="digest only this run (repeatable)")
     args = parser.parse_args(argv)
-    unknown = set(args.only) - {name for _, name, _ in runs()}
-    if unknown:
-        parser.error(f"unknown run(s): {', '.join(sorted(unknown))}")
     with contextlib.ExitStack() as stack:
         work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        print(json.dumps(digests(args.src, work, args.jobs, args.only), indent=1))
+        print(json.dumps(digests(args.src, work, args.jobs), indent=1))
     return 0
 
 
