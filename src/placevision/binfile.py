@@ -14,11 +14,14 @@ import numpy as np
 
 class Reader:
     """Cursor over an artifact file.  Every read checks the bytes left, so a
-    short or corrupt file is a ``ValueError`` naming it."""
+    short or corrupt file is a ``ValueError`` naming it.  With a ``limit``,
+    only the first ``limit`` bytes are read; `end` still counts the others."""
 
-    def __init__(self, path, head: bytes, what: str):
+    def __init__(self, path, head: bytes, what: str, limit: int = -1):
         self.path, self.what = path, what
-        self.data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            self.data = fh.read(limit)
+            self.unread = os.fstat(fh.fileno()).st_size - len(self.data)
         if not head.startswith(self.data[: len(head)]):
             raise ValueError(f"{path}: not a {what} file of this format version")
         self.pos = 0
@@ -49,10 +52,14 @@ class Reader:
             raise ValueError(f"{self.path}: bad record layout in {self.what} file") from None
         return np.frombuffer(self.data, dt, count, self._take(dt.itemsize * count))
 
-    def end(self) -> None:
-        """Check that every byte was read, so a corrupt count or size field
-        that makes the reader stop early is an error too."""
-        if self.pos != len(self.data):
+    def end(self, following: int = 0) -> None:
+        """Check that exactly ``following`` bytes of the file are left, none
+        by default: a corrupt count or size field that makes the reader stop
+        early is an error too."""
+        left = len(self.data) - self.pos + self.unread
+        if left < following:
+            raise ValueError(f"{self.path}: truncated {self.what} file")
+        if left > following:
             raise ValueError(f"{self.path}: trailing bytes in {self.what} file")
 
 

@@ -72,21 +72,32 @@ def _as_matrix(descriptors) -> np.ndarray:
     return x
 
 
-def _count_distinct_rows(x: np.ndarray) -> int:
+def _count_distinct_rows(x: np.ndarray, limit: int = None) -> int:
     """Number of distinct rows of a non-empty matrix, as
-    ``np.unique(x, axis=0)`` counts them.  Rows are compared as raw bytes,
-    sorted in place in one copy; ``+ 0.0`` folds -0.0 into 0.0 first."""
-    rows = np.ascontiguousarray(x + 0.0)
-    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    rows.sort()
-    return 1 + np.count_nonzero(rows[1:] != rows[:-1])
+    ``np.unique(x, axis=0)`` counts them, or some number >= ``limit`` once
+    that many are seen.  Rows are compared as raw bytes, ``+ 0.0`` folding
+    -0.0 into 0.0, one bounded block of rows at a time: what is held beside
+    x is the block and the distinct rows seen."""
+    seen = set()
+    rows = _block_rows(x)
+    for start in range(0, x.shape[0], rows):
+        block = np.ascontiguousarray(x[start : start + rows] + 0.0)
+        seen.update(block.view(np.dtype((np.void, block.itemsize * block.shape[1])))[:, 0].tolist())
+        if limit is not None and len(seen) >= limit:
+            break
+    return len(seen)
 
 
 def _is_euclidean(distance_id: str) -> bool:
     return parse_measure(distance_id)[1].get("r") == 2.0
 
 
-_BLOCK_CELLS = 1 << 15  # cells of the (rows, k) norm-sum block: 256 KiB of float64
+_BLOCK_CELLS = 1 << 15  # cells of a block of working rows: 256 KiB of float64
+
+
+def _block_rows(m: np.ndarray) -> int:
+    """Rows of m in one block of _BLOCK_CELLS cells."""
+    return max(1, _BLOCK_CELLS // m.shape[1])
 
 
 def _distances_to(x: np.ndarray, distance_id: str):
@@ -94,17 +105,22 @@ def _distances_to(x: np.ndarray, distance_id: str):
     the rows of x.  Euclidean ones use the inner-product form of
     `sq_euclidean_gram`, with the row norms of x computed once here and the
     same operation order, in place: into ``out`` when it is given, an (n, k)
-    float64 buffer, with one bounded block of norm sums beside it.  Other
-    distances ignore ``out``."""
+    float64 buffer, with one bounded block of norm sums beside it.  The row
+    norms are summed a bounded block of rows at a time, each row as
+    ``(x * x).sum(axis=1)`` sums it.  Other distances ignore ``out``."""
     if not _is_euclidean(distance_id):
         return lambda centers, out=None: pairwise_distances(distance_id, x, centers)
-    xx = (x * x).sum(axis=1)[:, None]
+    xx = np.empty((x.shape[0], 1))
+    rows = _block_rows(x)
+    for start in range(0, x.shape[0], rows):
+        block = x[start : start + rows]
+        np.sum(block * block, axis=1, out=xx[start : start + rows, 0])
 
     def euclidean(centers: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         cc = (centers * centers).sum(axis=1)[None, :]
         d = np.matmul(x, centers.T, out=out)
         d *= 2.0  # exact, so this equals (2.0 * x) @ centers.T bit for bit
-        rows = max(1, _BLOCK_CELLS // d.shape[1])
+        rows = _block_rows(d)
         for start in range(0, d.shape[0], rows):
             block = d[start : start + rows]
             np.subtract(xx[start : start + rows] + cc, block, out=block)
@@ -131,13 +147,14 @@ def kmeans(
     approximation and the cost trace is only recorded.
 
     Working memory beside the input: under the Euclidean distance, one
-    (n, k) float64 buffer that every Lloyd iteration reuses, plus a
-    transient copy of the input while distinct rows are counted.
+    (n, k) float64 buffer that every Lloyd iteration reuses, blocks of a
+    bounded number of rows, vectors of n, and the rows of one cluster while
+    its mean is taken.  No copy of the input is made.
     """
     x = _as_matrix(descriptors)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    n_distinct = _count_distinct_rows(x)
+    n_distinct = _count_distinct_rows(x, k)
     if n_distinct < k:
         raise ValueError(f"need at least k={k} distinct descriptors, have {n_distinct}")
     n = x.shape[0]

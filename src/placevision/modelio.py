@@ -42,8 +42,10 @@ class ClassifierModel:
             raise ValueError("nn model requires a gallery and thresholds")
 
 
-def _pack_f64(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _f64(a: np.ndarray) -> np.ndarray:
+    """a as a contiguous ``<f8`` array, written through the buffer protocol;
+    a copy only when a is not one already."""
+    return np.ascontiguousarray(a, dtype="<f8")
 
 
 def _gallery_record(dims: Sequence[int]) -> list:
@@ -51,34 +53,47 @@ def _gallery_record(dims: Sequence[int]) -> list:
     return [("label", "<u4"), *((f"p{i}", "<f8", (d,)) for i, d in enumerate(dims))]
 
 
-def save_model(model: ClassifierModel, path) -> None:
-    chunks = [_MODEL_HEADER, struct.pack("<B", _KINDS.index(model.kind))]
-    chunks.append(pack_text(model.config_id))
-    chunks.append(struct.pack("<I", len(model.labels)))
-    chunks.extend(pack_text(lb) for lb in model.labels)
+_BLOCK_BYTES = 1 << 18  # gallery records packed at a time
+
+
+def _model_chunks(model: ClassifierModel):
+    """The bytes of model.bin, chunk by chunk: no chunk holds more than one
+    array of the model or one bounded block of gallery records."""
+    yield _MODEL_HEADER
+    yield struct.pack("<B", _KINDS.index(model.kind))
+    yield pack_text(model.config_id)
+    yield struct.pack("<I", len(model.labels))
+    yield from (pack_text(lb) for lb in model.labels)
 
     if model.kind == "svm":
         svm = model.svm
-        chunks.append(pack_text(svm.kernel_spec.id_string()))
-        chunks.append(struct.pack("<d", svm.c))
+        yield pack_text(svm.kernel_spec.id_string())
+        yield struct.pack("<d", svm.c)
         for lb in model.labels:
             m = svm.machines[lb]
             n_sv, dim = m.support_vectors.shape
-            chunks.append(struct.pack("<IId", n_sv, dim, m.bias))
-            chunks.append(_pack_f64(m.support_vectors))
-            chunks.append(_pack_f64(m.dual_coef))
-    else:
-        labels, items = model.gallery
-        chunks.append(struct.pack("<I", len(items.parts)))
-        for (name, measure, weight), m in zip(items.parts, items.matrices):
-            chunks += [pack_text(name), pack_text(measure), struct.pack("<dI", weight, m.shape[1])]
-        records = np.empty(len(items), _gallery_record([m.shape[1] for m in items.matrices]))
-        records["label"] = [model.labels.index(lb) for lb in labels]
+            yield struct.pack("<IId", n_sv, dim, m.bias)
+            yield _f64(m.support_vectors)
+            yield _f64(m.dual_coef)
+        return
+    labels, items = model.gallery
+    yield struct.pack("<I", len(items.parts))
+    for (name, measure, weight), m in zip(items.parts, items.matrices):
+        yield from (pack_text(name), pack_text(measure), struct.pack("<dI", weight, m.shape[1]))
+    record = np.dtype(_gallery_record([m.shape[1] for m in items.matrices]))
+    yield struct.pack("<I", len(items))
+    rows = max(1, _BLOCK_BYTES // record.itemsize)
+    for start in range(0, len(items), rows):
+        block = np.empty(min(rows, len(items) - start), record)
+        block["label"] = [model.labels.index(lb) for lb in labels[start : start + rows]]
         for i, m in enumerate(items.matrices):
-            records[f"p{i}"] = m
-        chunks += [struct.pack("<I", len(records)), records.tobytes()]
-        chunks.append(_pack_f64(np.array([model.thresholds.by_label[lb] for lb in model.labels])))
-    write_atomic(path, chunks)
+            block[f"p{i}"] = m[start : start + rows]
+        yield block
+    yield _f64(np.array([model.thresholds.by_label[lb] for lb in model.labels]))
+
+
+def save_model(model: ClassifierModel, path) -> None:
+    write_atomic(path, _model_chunks(model))
 
 
 def load_model(path) -> ClassifierModel:

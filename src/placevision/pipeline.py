@@ -49,7 +49,15 @@ from .histograms import (
 from .image import load_pnm, to_grayscale
 from .modelio import ClassifierModel, load_model, save_model
 from .rules import COUNT, FINITE, NON_NEGATIVE, POSITIVE, SEED, Rule
-from .sift import SIFT_RULES, SiftParams, extract_rgb_sift, extract_sift, read_descriptors, write_descriptors
+from .sift import (
+    SIFT_RULES,
+    SiftParams,
+    extract_rgb_sift,
+    extract_sift,
+    read_descriptor_shape,
+    read_descriptors,
+    write_descriptors,
+)
 
 
 class DataError(Exception):
@@ -465,22 +473,43 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         raise DataError("configuration has no bovw part; nothing to cluster")
     check_features_config(out_dir, config)
     feat_dir = Path(out_dir) / "features"
-    stacks = []
+    files, counts, dim = [], [], None
     for row in manifest.rows:
         desc_file = feat_dir / f"{artifact_stem(row.path)}.desc"
         if not desc_file.exists():
             continue
-        _, values = read_descriptors(desc_file)
-        if len(values):
-            stacks.append(values)
-    if not stacks:
+        count, file_dim = read_descriptor_shape(desc_file)
+        if not count:
+            continue
+        if files and file_dim != dim:
+            raise DataError(
+                f"{desc_file} holds {file_dim}-dim descriptors, {files[0]} {dim}-dim; "
+                "rerun the features stage"
+            )
+        files.append(desc_file)
+        counts.append(count)
+        dim = file_dim
+    if not files:
         raise DataError("no descriptors found; did the features stage run?")
-    descriptors = np.vstack(stacks)
-    del stacks  # the stacked matrix is the one copy held while clustering
-    if descriptors.shape[0] > config.vocab_sample_cap:
+    # the one matrix held while clustering: every row, or a seeded sample of
+    # vocab.sample_cap rows kept in input order; each file's rows go straight in
+    total = sum(counts)
+    keep = None
+    if total > config.vocab_sample_cap:
         rng = np.random.default_rng(config.seed)
-        idx = rng.choice(descriptors.shape[0], size=config.vocab_sample_cap, replace=False)
-        descriptors = descriptors[np.sort(idx)]
+        keep = np.sort(rng.choice(total, size=config.vocab_sample_cap, replace=False))
+    descriptors = np.empty((total if keep is None else keep.size, dim))
+    start = filled = 0
+    for desc_file, count in zip(files, counts):
+        _, values = read_descriptors(desc_file)
+        if values.shape != (count, dim):
+            raise DataError(f"{desc_file} changed while the vocab stage read it")
+        if keep is not None:
+            lo, hi = np.searchsorted(keep, (start, start + count))
+            values = values[keep[lo:hi] - start]
+        descriptors[filled : filled + len(values)] = values
+        start += count
+        filled += len(values)
     if config.vocab_builder == "kmeans":
         vocab = bovw_mod.kmeans(
             descriptors, part.k, config.vocab_distance, config.seed, config.vocab_max_iter

@@ -756,6 +756,15 @@ def write_descriptors(features: Tuple[np.ndarray, np.ndarray], path) -> None:
     write_atomic(path, [_DESC_HEADER, struct.pack("<II", *values.shape), records.tobytes()])
 
 
+def read_descriptor_shape(path) -> Tuple[int, int]:
+    """(count, dim) of a descriptor file, from its header and its size alone:
+    every check of `read_descriptors` but the finite-value one."""
+    r = Reader(path, _DESC_HEADER, "descriptor", limit=len(_DESC_HEADER) + 8)
+    count, dim = r.unpack("<II")
+    r.end(4 * count * (4 + dim))
+    return count, dim
+
+
 def read_descriptors(path) -> Tuple[np.ndarray, np.ndarray]:
     """(keypoints (n, 4) as x, y, sigma, orientation; values (n, dim)), float64."""
     r = Reader(path, _DESC_HEADER, "descriptor")

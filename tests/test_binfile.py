@@ -11,7 +11,7 @@ from placevision.binfile import write_atomic
 from placevision.bovw import kmeans, read_vocabulary, write_vocabulary
 from placevision.classify import Composite, KernelSpec, ThresholdSet, ova_train
 from placevision.modelio import ClassifierModel, load_model, save_model
-from placevision.sift import read_descriptors, write_descriptors
+from placevision.sift import read_descriptor_shape, read_descriptors, write_descriptors
 
 LOADERS = {
     "vocab.bin": read_vocabulary,
@@ -70,6 +70,24 @@ def test_trailing_bytes_are_value_error_naming_the_file(tmp_path, valid, name):
     with pytest.raises(ValueError, match="trailing bytes") as exc:
         LOADERS[name](path)
     assert str(path) in str(exc.value)
+
+
+def test_descriptor_shape_is_read_from_the_header_and_checked_against_the_size(tmp_path, valid):
+    path = tmp_path / "kp.desc"
+    data = valid["kp.desc"]
+    path.write_bytes(data)
+    assert read_descriptor_shape(path) == (3, 8)
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated descriptor file") as exc:
+            read_descriptor_shape(path)
+        assert str(path) in str(exc.value), cut
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match=f"{path}: trailing bytes in descriptor file"):
+        read_descriptor_shape(path)
+    path.write_bytes(b"NOPE" + data[4:])
+    with pytest.raises(ValueError, match="not a descriptor file"):
+        read_descriptor_shape(path)
 
 
 @pytest.mark.parametrize("field, value", [(12, 2), (8, 64)])  # dim 128 -> 2, count 65 -> 64

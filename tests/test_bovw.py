@@ -16,7 +16,14 @@ from placevision.bovw import (
     write_vocabulary,
 )
 from placevision.distances import pairwise_distances, parse_measure, sq_euclidean_gram
-from placevision.pipeline import Manifest, ManifestRow, artifact_stem, parse_config_text, run_vocab
+from placevision.pipeline import (
+    DataError,
+    Manifest,
+    ManifestRow,
+    artifact_stem,
+    parse_config_text,
+    run_vocab,
+)
 from placevision.sift import write_descriptors
 from tests.test_distances import ALL_MEASURE_IDS
 
@@ -67,6 +74,12 @@ def test_kmeans_requires_enough_distinct_points():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         kmeans(pts, k=3)
+    # 99 distinct rows repeated over many blocks of the count: the error
+    # still states the exact count
+    rows = np.random.default_rng(3).random((99, 384))
+    x = rows[np.arange(4000) % 99]
+    with pytest.raises(ValueError, match="need at least k=100 distinct descriptors, have 99"):
+        kmeans(x, k=100)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -150,7 +163,8 @@ def test_kmeans_deterministic_given_seed():
 def mask_loop_kmeans(x, k, distance_id, seed, max_iter, events):
     """The per-cluster definition of `kmeans`: k-means++ seeding, then Lloyd
     steps with one boolean mask per cluster.  Counts zero-total seeding
-    draws and empty-cluster re-seeds in `events`."""
+    draws and empty-cluster re-seeds in `events`, and records there the
+    rows of the largest cluster whose mean a Lloyd step took."""
     euclid = parse_measure(distance_id)[1].get("r") == 2.0
 
     def dist(c):
@@ -190,6 +204,7 @@ def mask_loop_kmeans(x, k, distance_id, seed, max_iter, events):
             members = x[assign == j]
             if len(members):
                 centers[j] = members.mean(axis=0)
+                events["largest"] = max(events.get("largest", 0), len(members))
         empty = [j for j in range(k) if not np.any(assign == j)]
         events["reseeds"] += len(empty)
         order = np.argsort(-nearest)
@@ -294,6 +309,86 @@ def test_vocab_stage_holds_one_copy_of_the_descriptors(tmp_path):
     # the stacked matrix, the per-file records it was stacked from, one
     # (n, k) distance buffer: all three at once bound what the stage holds
     assert peak < matrix + stack + buffer, (peak, matrix)
+
+
+BLOCK_ALLOWANCE = 2 << 20  # bytes beside the arrays a stage needs, at any n
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 128])
+def test_kmeans_is_bit_identical_to_mask_loop_in_small_blocks(dim, monkeypatch):
+    # blocks of a few rows: the distinct-row count and the norm sums span
+    # many blocks
+    monkeypatch.setattr(bovw, "_BLOCK_CELLS", 3 * dim)
+    events = {"zero_total": 0, "reseeds": 0}
+    for seed in range(3):
+        x = np.random.default_rng([dim, seed, 1]).random((300, dim))
+        want = mask_loop_kmeans(x, 6, "euclidean", seed, 20, events)
+        got = kmeans(x, 6, "euclidean", seed, 20)
+        assert got.centers.tobytes() == want[0].tobytes(), (dim, seed)
+        assert got.cost_history == want[1], (dim, seed)
+
+
+@pytest.mark.parametrize("n", [4000, 16000])
+def test_kmeans_holds_one_distance_buffer_one_cluster_and_bounded_blocks(n):
+    k, dim = 100, 384
+    x = np.random.default_rng(13).random((n, dim))  # allocated before tracing
+    events = {"zero_total": 0, "reseeds": 0}
+    mask_loop_kmeans(x, k, "euclidean", 1, 3, events)
+    cluster = events["largest"] * dim * 8  # the rows a cluster mean gathers
+    tracemalloc.start()
+    try:
+        kmeans(x, k=k, seed=1, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - n * k * 8 - cluster < BLOCK_ALLOWANCE, (peak, cluster, n)
+
+
+def _vocab_stage_peak(tmp_path, config_text, files, rows, dim):
+    """Traced peak of run_vocab over ``files`` descriptor files of ``rows``
+    random ``dim``-dim descriptors each."""
+    config = parse_config_text(config_text)
+    feat = tmp_path / "features"
+    feat.mkdir()
+    (feat / "config_id.txt").write_text(config.config_id(), encoding="utf-8")
+    rng = np.random.default_rng(5)
+    manifest = [ManifestRow(f"img{i:02d}.png", "room", 1) for i in range(files)]
+    for row in manifest:
+        values = rng.random((rows, dim)).astype("<f4")
+        write_descriptors((np.zeros((rows, 4)), values), feat / f"{artifact_stem(row.path)}.desc")
+    tracemalloc.start()
+    try:
+        run_vocab(Manifest(manifest, tmp_path), config, tmp_path, log=lambda msg: None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_vocab_stage_holds_the_matrix_and_one_distance_buffer(tmp_path):
+    n, dim, k = 40 * 100, 384, 100
+    config = f"features.parts = bovw\nbovw.feature = rgbsift\nbovw.k = {k}\nvocab.max_iter = 3\n"
+    peak = _vocab_stage_peak(tmp_path, config, 40, 100, dim)
+    assert peak < n * dim * 8 + n * k * 8 + BLOCK_ALLOWANCE, peak
+
+
+def test_capped_vocab_stage_holds_only_its_sample(tmp_path):
+    cap, dim, k = 400, 384, 20
+    config = (f"features.parts = bovw\nbovw.feature = rgbsift\nbovw.k = {k}\n"
+              f"vocab.max_iter = 3\nvocab.sample_cap = {cap}\n")
+    peak = _vocab_stage_peak(tmp_path, config, 40, 100, dim)  # 4,000 descriptors
+    assert peak < cap * dim * 8 + cap * k * 8 + BLOCK_ALLOWANCE, peak
+
+
+def test_vocab_stage_refuses_descriptor_files_of_two_dimensions(tmp_path):
+    config = parse_config_text("features.parts = bovw\nbovw.k = 2\n")
+    feat = tmp_path / "features"
+    feat.mkdir()
+    (feat / "config_id.txt").write_text(config.config_id(), encoding="utf-8")
+    rows = [ManifestRow(f"img{i}.png", "room", 1) for i in range(2)]
+    for row, dim in zip(rows, (128, 384)):
+        write_descriptors((np.zeros((3, 4)), np.ones((3, dim))), feat / f"{artifact_stem(row.path)}.desc")
+    with pytest.raises(DataError, match="img1.desc holds 384-dim descriptors, .*img0.desc 128-dim"):
+        run_vocab(Manifest(rows, tmp_path), config, tmp_path, log=lambda msg: None)
 
 
 def test_incremental_threshold_extremes():

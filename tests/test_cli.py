@@ -227,9 +227,11 @@ def test_truncated_descriptor_file_is_data_error(dataset, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_stage(["features", "--manifest", man, "--config", cfg, "--out", out]) == 0
     stem = artifact_stem(read_manifest(man).rows[0].path)
-    (out / "features" / f"{stem}.desc").write_bytes(b"PVSD\x01\x00")
-    assert run_stage(["vocab", "--manifest", man, "--config", cfg, "--out", out]) == 2
-    assert "truncated descriptor file" in capsys.readouterr().err
+    # inside the tag and version, then inside the count and dim
+    for head in (b"PVSD\x01\x00", b"PVSD\x01\x00\x00\x00\x05\x00\x00"):
+        (out / "features" / f"{stem}.desc").write_bytes(head)
+        assert run_stage(["vocab", "--manifest", man, "--config", cfg, "--out", out]) == 2
+        assert "truncated descriptor file" in capsys.readouterr().err
 
 
 def _copy_dataset(dataset, dest, relabel=lambda label: label):

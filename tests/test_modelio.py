@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placevision.binfile import pack_text
-from placevision.classify import Composite, KernelSpec, ThresholdSet, ova_train
+from placevision.classify import BinarySvm, Composite, KernelSpec, SvmModel, ThresholdSet, ova_train
 from placevision.modelio import _MODEL_HEADER, ClassifierModel, load_model, save_model
+from tests.test_bovw import BLOCK_ALLOWANCE
 from tests.test_classify import labeled, make_cf
 
 
@@ -152,3 +154,37 @@ def test_nn_gallery_records_keep_the_per_row_layout(tmp_path_factory, dims, n_it
     again = path.with_name("again.bin")
     save_model(load_model(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _big_svm_model() -> ClassifierModel:
+    """Four linear machines of 400 support vectors in 256 dims: 3.3 MB."""
+    rng = np.random.default_rng(8)
+    labels = ["a", "b", "c", "d"]
+    spec = KernelSpec("linear")
+    machines = {lb: BinarySvm(rng.random((400, 256)), rng.normal(size=400), 0.5, spec)
+                for lb in labels}
+    return ClassifierModel("svm", "cfg", labels, svm=SvmModel(labels, machines, spec, 10.0))
+
+
+def _big_nn_model() -> ClassifierModel:
+    """A gallery of 4,000 items of two 64-dim parts: 4.1 MB."""
+    rng = np.random.default_rng(9)
+    labels = ["a", "b", "c"]
+    items = Composite((("p0", "euclidean", 0.5), ("p1", "euclidean", 0.5)),
+                      (rng.random((4000, 64)), rng.random((4000, 64))))
+    return ClassifierModel("nn", "cfg", labels, gallery=([labels[i % 3] for i in range(4000)], items),
+                           thresholds=ThresholdSet({lb: 0.5 for lb in labels}))
+
+
+@pytest.mark.parametrize("build", [_big_svm_model, _big_nn_model])
+def test_save_model_holds_no_copy_of_the_model(tmp_path, build):
+    model = build()  # held before tracing
+    path = tmp_path / "model.bin"
+    tracemalloc.start()
+    try:
+        save_model(model, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK_ALLOWANCE, peak
+    assert path.stat().st_size > BLOCK_ALLOWANCE  # so one copy of the model would fail
