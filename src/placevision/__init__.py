@@ -12,7 +12,7 @@ from .histograms import FeatureHistogram, hsv_histogram, normalize_l1, rgb_histo
 from .distances import emd, pairwise_distances
 from .sift import SiftParams, extract_rgb_sift, extract_sift
 from .asift import AffineView, asift_views, extract_asift
-from .bovw import BowVector, Vocabulary, encode_image, incremental_vocab, kmeans, quantize
+from .bovw import Vocabulary, encode_image, incremental_vocab, kmeans, quantize
 from .classify import (
     Composite,
     GaParams,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineView",
-    "BowVector",
     "Composite",
     "EvalReport",
     "FeatureHistogram",

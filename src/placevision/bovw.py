@@ -48,23 +48,6 @@ class Vocabulary:
         return self.centers.shape[1]
 
 
-@dataclass(frozen=True)
-class BowVector:
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1 or (w < 0).any():
-            raise ValueError("weights must be a non-negative vector")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    def as_histogram(self) -> FeatureHistogram:
-        return FeatureHistogram(self.weights, f"bovw:{self.weights.size}", normalized=True)
-
-
 def _as_matrix(descriptors) -> np.ndarray:
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -233,8 +216,8 @@ def quantize(descriptors, vocab: Vocabulary) -> np.ndarray:
     return _distances_to(x, vocab.distance_id)(vocab.centers).argmin(axis=1)
 
 
-def encode_image(descriptors, vocab: Vocabulary) -> BowVector:
-    """Word-count histogram normalized to sum 1.
+def encode_image(descriptors, vocab: Vocabulary) -> FeatureHistogram:
+    """Word-count histogram normalized to sum 1, binned ``bovw:<k>``.
 
     An empty descriptor set is an error: a zero vector would break the
     unit-mass invariant downstream.
@@ -242,7 +225,7 @@ def encode_image(descriptors, vocab: Vocabulary) -> BowVector:
     if np.size(descriptors) == 0:
         raise ValueError("cannot encode an image with no descriptors")
     counts = np.bincount(quantize(descriptors, vocab), minlength=vocab.k).astype(np.float64)
-    return BowVector(counts / counts.sum())
+    return FeatureHistogram(counts / counts.sum(), f"bovw:{vocab.k}", normalized=True)
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):
+        p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True, help="artifact directory")
         if config:
             p.add_argument("--config", required=True, help="pipeline config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--sequences", default=None, help="comma list of sequence ids to use")
 
     p = sub.add_parser("synth-dataset", help="generate the bundled synthetic room dataset")
@@ -69,28 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("features", help="extract per-image feature artifacts")
-    p.add_argument("--manifest", required=True)
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("vocab", help="build the visual vocabulary")
-    p.add_argument("--manifest", required=True)
     common(p)
 
     p = sub.add_parser("encode", help="encode stored descriptors into word histograms")
-    p.add_argument("--manifest", required=True)
     common(p)
 
     p = sub.add_parser("train", help="train the configured classifier")
-    p.add_argument("--manifest", required=True)
     common(p)
 
     p = sub.add_parser("predict", help="predict labels for manifest rows")
-    p.add_argument("--manifest", required=True)
     p.add_argument("--model", default=None, help="model file (default: <out>/model.bin)")
     common(p)
 
     p = sub.add_parser("evaluate", help="score predictions against manifest truth")
-    p.add_argument("--manifest", required=True)
     p.add_argument("--predictions", default=None, help="default: <out>/predictions.csv")
     p.add_argument("--report", default=None, help="report directory (default: <out>/report)")
     common(p, config=False)
@@ -99,17 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    sequences = _parse_sequences(args.sequences)  # usage checks before any I/O
-    if args.jobs < 1:
+    # usage checks before any I/O; --jobs belongs to features, --config
+    # and --seed to the stages that read a configuration
+    sequences = _parse_sequences(args.sequences)
+    if getattr(args, "jobs", 1) < 1:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.seed is not None and args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {seed}")
     manifest = read_manifest(args.manifest).select(sequences)
     config = None
     if getattr(args, "config", None):
         config = read_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)  # the GA seed follows
+        if seed is not None:
+            config = replace(config, seed=seed)  # the GA seed follows
     return manifest, config
 
 

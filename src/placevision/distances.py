@@ -18,11 +18,12 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from .histograms import MASS_TOLERANCE
+
 # Saturating stand-in for +inf so that rankings stay total.
 INFINITE_DISTANCE = float(np.finfo(np.float64).max)
 
 _KL_EPSILON = 1e-10
-_MASS_TOLERANCE = 1e-9
 
 
 def _pair(h, k) -> Tuple[np.ndarray, np.ndarray]:
@@ -31,16 +32,6 @@ def _pair(h, k) -> Tuple[np.ndarray, np.ndarray]:
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"expected two equal-length 1-D histograms, got {a.shape} and {b.shape}")
     return a, b
-
-
-def _require_normalized(measure: str, *mats: np.ndarray) -> None:
-    for name, m in zip(("first", "second"), mats):
-        sums = m.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > _MASS_TOLERANCE)[0]
-        if bad.size:
-            raise ValueError(
-                f"{measure} requires L1-normalized inputs; {name} sums to {sums[bad[0]]!r}"
-            )
 
 
 def _order(r) -> float:
@@ -60,7 +51,6 @@ def _minkowski_block(q: np.ndarray, g: np.ndarray, r: float = 2.0) -> np.ndarray
 
 def _kl_block(q, g) -> np.ndarray:
     """Relative entropy sum H_i*log(H_i / K_i), asymmetric."""
-    _require_normalized("kullback_leibler", q, g)
     a = q[:, None, :]
     logs = np.where(a > 0, np.log(np.where(a > 0, a, 1.0) / np.maximum(g, _KL_EPSILON)), 0.0)
     return (a * logs).sum(axis=2)
@@ -99,7 +89,6 @@ def _chi2_block(q, g, symmetric: bool = False) -> np.ndarray:
 
 def _bhattacharyya_block(q, g) -> np.ndarray:
     """-ln sum sqrt(H_i*K_i); disjoint supports saturate to a finite sentinel."""
-    _require_normalized("bhattacharyya", q, g)
     c = (np.sqrt(q)[:, None, :] * np.sqrt(g)[None, :, :]).sum(axis=2)
     # roundoff can push the coefficient a hair above 1 for identical inputs
     out = np.where(c > 0, -np.log(np.minimum(np.where(c > 0, c, 1.0), 1.0)), INFINITE_DISTANCE)
@@ -107,7 +96,7 @@ def _bhattacharyya_block(q, g) -> np.ndarray:
 
 
 def _mass_gap(q, g) -> np.ndarray:
-    return np.abs(q.sum(axis=1)[:, None] - g.sum(axis=1)[None, :]) > _MASS_TOLERANCE
+    return np.abs(q.sum(axis=1)[:, None] - g.sum(axis=1)[None, :]) > MASS_TOLERANCE
 
 
 def _match_block(q, g) -> np.ndarray:
@@ -342,6 +331,11 @@ _BLOCKS = {
     "match": (_match_block, {}),
 }
 
+# The ids that compare only rows of one total mass: "unit" ones need rows
+# that each sum to 1, "equal" ones rows of the same sum (emd solves the
+# other pairs by the simplex, one transportation problem per pair).
+ONE_MASS = {"kl": "unit", "bhattacharyya": "unit", "match": "equal", "emd": "equal"}
+
 
 def parse_measure(measure_id: str) -> Tuple[Callable[..., np.ndarray], Dict[str, float]]:
     """Validate a measure id; return its block function and parameters.
@@ -362,13 +356,22 @@ def parse_measure(measure_id: str) -> Tuple[Callable[..., np.ndarray], Dict[str,
 def pairwise_distances(measure_id: str, queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Distance matrix (len(queries), len(gallery)) under the named measure.
 
-    Query rows are processed in chunks sized to `_BLOCK_BYTES`.
+    Query rows are processed in chunks sized to `_BLOCK_BYTES`.  A measure
+    that needs unit-mass rows raises ValueError for any other row.
     """
     block, params = parse_measure(measure_id)
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     g = np.atleast_2d(np.asarray(gallery, dtype=np.float64))
     if q.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {q.shape[1]} vs {g.shape[1]}")
+    if ONE_MASS.get(measure_id.strip().lower()) == "unit":
+        for name, m in (("first", q), ("second", g)):
+            sums = m.sum(axis=1)
+            bad = np.flatnonzero(np.abs(sums - 1.0) > MASS_TOLERANCE)
+            if bad.size:
+                raise ValueError(
+                    f"{measure_id} requires L1-normalized inputs; {name} sums to {sums[bad[0]]!r}"
+                )
     out = np.empty((q.shape[0], g.shape[0]))
     step = max(1, _BLOCK_BYTES // max(1, 8 * g.shape[0] * g.shape[1]))
     for s in range(0, q.shape[0], step):

@@ -19,6 +19,9 @@ from .rules import NON_NEGATIVE
 DEFAULT_RGB_BINS = (10, 10, 10)
 DEFAULT_HSV_BINS = (18, 10, 10)
 
+# How far the bin sum of a unit-mass histogram may stray from 1.
+MASS_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class FeatureHistogram:
@@ -43,7 +46,7 @@ class FeatureHistogram:
                 f"binning {self.binning!r} implies {_binning_size(self.binning)} "
                 f"bins, got {b.size}"
             )
-        if self.normalized and abs(b.sum() - 1.0) > 1e-9:
+        if self.normalized and abs(b.sum() - 1.0) > MASS_TOLERANCE:
             raise ValueError(f"normalized histogram sums to {b.sum()!r}, not 1")
         b.flags.writeable = False
         object.__setattr__(self, "bins", b)
@@ -67,18 +70,21 @@ def _quantize01(values: np.ndarray, n: int) -> np.ndarray:
     return np.minimum((values * n).astype(np.intp), n - 1)
 
 
+def _joint_histogram(planes, sizes) -> FeatureHistogram:
+    """Pixel counts over the flat joint bins i + na*j + na*nb*k of three
+    planes of values in [0, 1], quantized into (na, nb, nc) bins."""
+    (a, b, c), (na, nb, nc) = planes, sizes
+    t = _quantize01(a, na) + na * _quantize01(b, nb) + na * nb * _quantize01(c, nc)
+    counts = np.bincount(t, minlength=na * nb * nc).astype(np.float64)
+    return FeatureHistogram(counts, f"{na}x{nb}x{nc}")
+
+
 def rgb_histogram(img: Image, n_r: int = 10, n_g: int = 10, n_b: int = 10) -> FeatureHistogram:
     """Joint RGB histogram with n_r*n_g*n_b bins; bin sum = pixel count."""
     if min(n_r, n_g, n_b) < 1:
         raise ValueError("all axis sizes must be >= 1")
     p = img.pixels.reshape(-1, 3)
-    t = (
-        _quantize01(p[:, 0], n_r)
-        + n_r * _quantize01(p[:, 1], n_g)
-        + n_r * n_g * _quantize01(p[:, 2], n_b)
-    )
-    counts = np.bincount(t, minlength=n_r * n_g * n_b).astype(np.float64)
-    return FeatureHistogram(counts, f"{n_r}x{n_g}x{n_b}")
+    return _joint_histogram(p.T, (n_r, n_g, n_b))
 
 
 def hsv_histogram(img: Image, n_h: int = 18, n_s: int = 10, n_v: int = 10) -> FeatureHistogram:
@@ -86,13 +92,7 @@ def hsv_histogram(img: Image, n_h: int = 18, n_s: int = 10, n_v: int = 10) -> Fe
     if min(n_h, n_s, n_v) < 1:
         raise ValueError("all axis sizes must be >= 1")
     h, s, v = rgb_to_hsv_planes(img.pixels.reshape(-1, 3))
-    t = (
-        np.minimum((h / 360.0 * n_h).astype(np.intp), n_h - 1)
-        + n_h * _quantize01(s, n_s)
-        + n_h * n_s * _quantize01(v, n_v)
-    )
-    counts = np.bincount(t, minlength=n_h * n_s * n_v).astype(np.float64)
-    return FeatureHistogram(counts, f"{n_h}x{n_s}x{n_v}")
+    return _joint_histogram((h / 360.0, s, v), (n_h, n_s, n_v))
 
 
 def normalize_l1(h: FeatureHistogram) -> FeatureHistogram:

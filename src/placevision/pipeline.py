@@ -35,7 +35,7 @@ from .classify import (
     nn_distances,
     ova_train,
 )
-from .distances import parse_measure
+from .distances import ONE_MASS, parse_measure
 from .evaluate import build_report, write_csv, write_report
 from .histograms import (
     DEFAULT_HSV_BINS,
@@ -167,6 +167,13 @@ def _measure(text: str) -> str:
     return text.lower()
 
 
+def _vocab_distance(text: str) -> str:
+    measure = _measure(text)
+    if measure in ONE_MASS:
+        raise ValueError(f"{measure} compares only rows of one total mass, which descriptors lack")
+    return measure
+
+
 # Every config key and what it accepts: a Rule, a tuple of choices (a dict
 # when each choice stands for a value), or a function from the text to the
 # value that raises ValueError.  A sift.* or ga.* key takes the rule of its
@@ -183,7 +190,7 @@ _CONFIG_KEYS = {
     "bovw.weight": NON_NEGATIVE,
     "bovw.k": COUNT,
     "bovw.feature": ("sift", "asift", "rgbsift"),
-    "vocab.distance": _measure,
+    "vocab.distance": _vocab_distance,
     "vocab.builder": ("kmeans", "incremental"),
     "vocab.threshold": NON_NEGATIVE,
     "vocab.max_iter": COUNT,
@@ -443,6 +450,18 @@ def run_features(
     return ok
 
 
+def check_record(path, recorded: dict, wanted: dict, stage: str) -> None:
+    """DataError unless the artifact at ``path`` records each value of
+    ``wanted`` under its key; it names the file, the first key that differs
+    and the stage that rebuilds the artifact."""
+    for key, value in wanted.items():
+        if recorded[key] != value:
+            raise DataError(
+                f"{path} was built with {key} {recorded[key]!r}, the configuration asks for "
+                f"{key} {value!r}; rerun the {stage} stage"
+            )
+
+
 def check_features_config(out_dir, config: PipelineConfig) -> None:
     marker = Path(out_dir) / "features" / "config_id.txt"
     if not marker.exists():
@@ -451,11 +470,7 @@ def check_features_config(out_dir, config: PipelineConfig) -> None:
         found = marker.read_text(encoding="utf-8").strip()
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {marker}: {exc}") from None
-    if found != config.config_id():
-        raise DataError(
-            f"feature configuration mismatch: artifacts built with {found!r}, "
-            f"requested {config.config_id()!r}"
-        )
+    check_record(marker, {"config id": found}, {"config id": config.config_id()}, "features")
 
 
 # ---------------------------------------------------------------------------
@@ -535,22 +550,14 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
         raise DataError(f"missing vocabulary {vocab_path} (run the vocab stage first)")
     vocab = bovw_mod.read_vocabulary(vocab_path)
     part = config.part("bovw")
-    # a k-means vocabulary has the configured k; an incremental one any size
-    k = part.k if part and vocab.built_by == "kmeans" else vocab.k
-    built = (vocab.distance_id, vocab.built_by, vocab.k)
-    wanted = (config.vocab_distance, config.vocab_builder, k)
-    if built != wanted:
-        raise DataError(
-            f"{vocab_path} was built with (distance, builder, k) = {built}, the configuration "
-            f"asks for {wanted}; rerun the vocab stage"
-        )
-    # the seed picks the k-means start; an incremental vocabulary records no seed,
-    # although a vocab.sample_cap subsample depends on it (not checked)
-    if vocab.built_by == "kmeans" and vocab.seed != config.seed:
-        raise DataError(
-            f"{vocab_path} was built with seed {vocab.seed}, the configuration asks for "
-            f"seed {config.seed}; rerun the vocab stage"
-        )
+    recorded = dict(distance=vocab.distance_id, builder=vocab.built_by, k=vocab.k, seed=vocab.seed)
+    wanted = dict(distance=config.vocab_distance, builder=config.vocab_builder)
+    # a k-means vocabulary has the configured k and seed (its start); an
+    # incremental one any size, and it records no seed, although a
+    # vocab.sample_cap subsample depends on it (not checked)
+    if vocab.built_by == "kmeans":
+        wanted.update(k=part.k if part else vocab.k, seed=config.seed)
+    check_record(vocab_path, recorded, wanted, "vocab")
     feat_dir = Path(out_dir) / "features"
     encoded = 0
     for row in manifest.rows:
@@ -567,8 +574,7 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
                 f"{vocab_path} holds {vocab.dim}-dim words, {desc_file} {values.shape[1]}-dim "
                 "descriptors; rerun the vocab stage"
             )
-        vec = bovw_mod.encode_image(values, vocab)
-        write_histogram_csv(vec.as_histogram(), feat_dir / f"{stem}.bovw.csv")
+        write_histogram_csv(bovw_mod.encode_image(values, vocab), feat_dir / f"{stem}.bovw.csv")
         encoded += 1
     if encoded == 0:
         raise DataError("no image could be encoded against the vocabulary")
@@ -681,11 +687,7 @@ def run_predict(
     if not model_path.exists():
         raise DataError(f"missing model file {model_path}")
     model = load_model(model_path)
-    if model.config_id != config.config_id():
-        raise DataError(
-            f"model was trained on configuration {model.config_id!r}, "
-            f"features use {config.config_id()!r}"
-        )
+    check_record(model_path, {"config id": model.config_id}, {"config id": config.config_id()}, "train")
     kept, items = load_labeled_features(manifest, config, out_dir, log)
 
     if model.kind == "svm":

@@ -254,7 +254,7 @@ def test_criterion_5_bovw_suite():
     sums_ok = True
     for _ in range(25):
         descs = rng.random((int(rng.integers(1, 50)), 8))
-        if abs(encode_image(descs, vocab).weights.sum() - 1.0) > 1e-9:
+        if abs(encode_image(descs, vocab).bins.sum() - 1.0) > 1e-9:
             sums_ok = False
 
     oracle_vocab = Vocabulary(rng.random((25, 5)))

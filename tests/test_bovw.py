@@ -6,7 +6,6 @@ import pytest
 from placevision import bovw
 from placevision.bovw import (
     DEFAULT_K,
-    BowVector,
     Vocabulary,
     encode_image,
     incremental_vocab,
@@ -16,6 +15,7 @@ from placevision.bovw import (
     write_vocabulary,
 )
 from placevision.distances import pairwise_distances, parse_measure, sq_euclidean_gram
+from placevision.histograms import FeatureHistogram
 from placevision.pipeline import (
     DataError,
     Manifest,
@@ -470,8 +470,9 @@ def test_encode_single_word_and_normalization():
     vocab = Vocabulary(np.array([[0.0], [1.0], [2.0], [3.0], [4.0]]))
     descs = np.full((5, 1), 3.1)
     vec = encode_image(descs, vocab)
-    assert vec.weights[3] == 1.0
-    assert vec.weights.sum() == 1.0
+    assert vec.binning == "bovw:5" and vec.normalized
+    assert vec.bins[3] == 1.0
+    assert vec.bins.sum() == 1.0
 
 
 def test_encode_matches_count_oracle():
@@ -482,10 +483,10 @@ def test_encode_matches_count_oracle():
     counts = np.zeros(12)
     for d in descs:
         counts[quantize(d[None], vocab)[0]] += 1
-    assert np.allclose(vec.weights, counts / counts.sum(), atol=1e-12)
-    assert vec.weights.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(vec.bins, counts / counts.sum(), atol=1e-12)
+    assert vec.bins.sum() == pytest.approx(1.0, abs=1e-9)
     # encode support equals the set of quantize results
-    support = set(np.nonzero(vec.weights)[0].tolist())
+    support = set(np.nonzero(vec.bins)[0].tolist())
     assert support == set(quantize(descs, vocab).tolist())
 
 
@@ -496,8 +497,8 @@ def test_encode_rejects_empty_descriptor_set():
 
 
 def test_bow_vector_invariant():
-    with pytest.raises(ValueError):
-        BowVector(np.array([0.5, 0.4]))  # sums to 0.9
+    with pytest.raises(ValueError, match="normalized histogram sums to"):
+        FeatureHistogram(np.array([0.5, 0.4]), "bovw:2", normalized=True)
 
 
 def test_vocabulary_file_round_trip(tmp_path):

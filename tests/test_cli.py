@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import inspect
 import re
 import shutil
 from dataclasses import asdict, replace
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from placevision import pipeline, synth
-from placevision.cli import main
+from placevision.cli import build_parser, main
 from placevision.image import Image, load_pnm, write_pnm
 from placevision.pipeline import artifact_stem, parse_config_text, read_manifest
 
@@ -138,19 +140,23 @@ def test_missing_manifest_is_data_error(dataset, tmp_path):
     assert rc == 2
 
 
-def test_config_id_mismatch_is_hard_error(dataset, tmp_path):
+def test_config_id_mismatch_is_hard_error(dataset, tmp_path, capsys):
     out = tmp_path / "out"
     man = dataset / "manifest.tsv"
     cfg = dataset / "pipeline.cfg"
     other_cfg = tmp_path / "other.cfg"
     other_cfg.write_text("features.parts = rgb\nclassifier.kind = nn\nseed = 5\n")
     assert run_stage(["features", "--manifest", man, "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
     # vocab/train against a different feature configuration must refuse
     rc = run_stage(["train", "--manifest", man, "--config", other_cfg, "--out", out])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'features' / 'config_id.txt'} was built with config id " in err
+    assert "rerun the features stage" in err
 
 
-def test_predict_with_mismatched_model_refused(dataset, tmp_path):
+def test_predict_with_mismatched_model_refused(dataset, tmp_path, capsys):
     man = dataset / "manifest.tsv"
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -163,10 +169,14 @@ def test_predict_with_mismatched_model_refused(dataset, tmp_path):
     assert run_stage(["encode", "--manifest", man, "--config", cfg_a, "--out", out_a]) == 0
     assert run_stage(["train", "--manifest", man, "--config", cfg_a, "--out", out_a]) == 0
     assert run_stage(["train", "--manifest", man, "--config", cfg_b, "--out", out_b]) == 0
+    capsys.readouterr()
     # model from configuration A against features/config B
     rc = run_stage(["predict", "--manifest", man, "--config", cfg_b, "--out", out_b,
                     "--model", out_a / "model.bin"])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{out_a / 'model.bin'} was built with config id " in err
+    assert "rerun the train stage" in err
 
 
 def test_nn_self_prediction_is_perfect(dataset, tmp_path):
@@ -211,14 +221,16 @@ def test_bad_measure_id_is_config_error(dataset, tmp_path, capsys, measure):
 
 
 def test_bad_vocab_distance_fails_before_features(dataset, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CONFIG + "vocab.distance = minkowski:0.5\n")
-    out = tmp_path / "out"
-    rc = run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config", cfg,
-                    "--out", out])
-    assert rc == 2
-    assert "vocab.distance" in capsys.readouterr().err
-    assert not out.exists()
+    # a bad order, and each measure of one total mass: raw descriptors have none
+    for measure in ("minkowski:0.5", "kl", "bhattacharyya", "match", "emd"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG + f"vocab.distance = {measure}\n")
+        out = tmp_path / "out"
+        rc = run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+                        "--out", out])
+        assert rc == 2, measure
+        assert "vocab.distance" in capsys.readouterr().err, measure
+        assert not out.exists(), measure
 
 
 def test_truncated_descriptor_file_is_data_error(dataset, tmp_path, capsys):
@@ -648,13 +660,13 @@ def test_descriptor_file_with_non_finite_value_is_data_error(dataset, trained, t
     assert f"{path}: non-finite value in descriptor file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change, builder, rc", [
-    ({"centers": np.eye(10, 128)}, "kmeans", 2),  # k-means k 10, configured 12
-    ({"distance_id": "minkowski:1"}, "kmeans", 2),
-    ({"built_by": "incremental"}, "kmeans", 2),
-    ({"centers": np.eye(5, 128), "built_by": "incremental"}, "incremental", 0),  # any k
+@pytest.mark.parametrize("change, builder, differs", [
+    ({"centers": np.eye(10, 128)}, "kmeans", "k 10, the configuration asks for k 12"),
+    ({"distance_id": "minkowski:1"}, "kmeans", "distance 'minkowski:1', the configuration asks for distance 'euclidean'"),
+    ({"built_by": "incremental"}, "kmeans", "builder 'incremental', the configuration asks for builder 'kmeans'"),
+    ({"centers": np.eye(5, 128), "built_by": "incremental"}, "incremental", None),  # any k
 ], ids=["k", "distance", "builder", "incremental-any-k"])
-def test_stale_vocabulary_is_data_error_naming_it(dataset, trained, tmp_path, capsys, change, builder, rc):
+def test_stale_vocabulary_is_data_error_naming_it(dataset, trained, tmp_path, capsys, change, builder, differs):
     from placevision.bovw import read_vocabulary, write_vocabulary
 
     out = tmp_path / "out"
@@ -665,9 +677,9 @@ def test_stale_vocabulary_is_data_error_naming_it(dataset, trained, tmp_path, ca
     cfg.write_text(CONFIG + f"vocab.builder = {builder}\n")
     capsys.readouterr()
     assert run_stage(["encode", "--manifest", dataset / "manifest.tsv", "--config", cfg,
-                      "--out", out]) == rc
-    if rc:
-        assert f"{path} was built with (distance, builder, k)" in capsys.readouterr().err
+                      "--out", out]) == (2 if differs else 0)
+    if differs:
+        assert f"{path} was built with {differs}; rerun the vocab stage" in capsys.readouterr().err
 
 
 def test_vocabulary_of_another_descriptor_dimension_is_data_error(dataset, trained, tmp_path, capsys):
@@ -775,6 +787,35 @@ def test_negative_seed_override_is_usage_error(dataset, tmp_path, capsys):
                     dataset / "pipeline.cfg", "--out", tmp_path / "out", "--seed", "-1"])
     assert rc == 1
     assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# The flags that set each parameter of a stage function; any other parameter
+# is set by the flag of its own name.
+FLAGS_OF_PARAMETER = {
+    "manifest": {"--manifest", "--sequences"},
+    "config": {"--config", "--seed"},
+    "out_dir": {"--out"},
+    "model_path": {"--model"},
+    "predictions_path": {"--predictions", "--out"},
+    "report_dir": {"--report", "--out"},
+    "log": set(),
+}
+
+
+def test_each_subcommand_takes_exactly_the_flags_its_stage_reads(dataset, tmp_path, capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        stage = synth.generate_dataset if name == "synth-dataset" else getattr(pipeline, f"run_{name}")
+        reads = set().union(*(FLAGS_OF_PARAMETER.get(p, {"--" + p.replace("_", "-")})
+                              for p in inspect.signature(stage).parameters))
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == reads, name
+    common = ["--manifest", dataset / "manifest.tsv", "--out", tmp_path / "out"]
+    for args in (["vocab", "--config", dataset / "pipeline.cfg", "--jobs", "2"],
+                 ["evaluate", "--seed", "3"]):
+        assert run_stage(args + common) == 1, args
+        assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -14,11 +14,6 @@ from placevision.bovw import incremental_vocab, kmeans, quantize
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# vocab.distance ids no run takes.  Descriptors are not L1-normalized, so kl,
-# bhattacharyya and match refuse them (checked below); emd takes them through
-# a transportation problem per descriptor-word pair, far too slow to run.
-NOT_VOCAB_DISTANCES = {"kl", "bhattacharyya", "match", "emd"}
-
 
 def _load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
@@ -36,8 +31,12 @@ def _measure_name(measure_id):
     return measure_id.partition(":")[0]  # minkowski:3 -> minkowski
 
 
-def _is_part_measure(key, accepts):
-    return accepts is pipeline._measure and key != "vocab.distance"
+def _accepts(rule, text):
+    try:
+        rule(text)
+    except ValueError:
+        return False
+    return True
 
 
 def choices(accepts):
@@ -46,8 +45,8 @@ def choices(accepts):
         return set(accepts.values())
     if isinstance(accepts, tuple):
         return set(accepts)
-    if accepts is pipeline._measure:
-        return set(distances._BLOCKS) | {"minkowski"}
+    if accepts in (pipeline._measure, pipeline._vocab_distance):
+        return {m for m in set(distances._BLOCKS) | {"minkowski"} if _accepts(accepts, m)}
     if accepts is pipeline._part_names:
         return set(pipeline._PARTS)
     return set()
@@ -73,10 +72,10 @@ def exercised(config):
 
 def test_every_choice_of_every_config_key_is_in_some_run(digests):
     required = {
-        ("part.measure" if _is_part_measure(key, accepts) else key, choice)
+        ("part.measure" if accepts is pipeline._measure else key, choice)
         for key, accepts in pipeline._CONFIG_KEYS.items()
         for choice in choices(accepts)
-    } - {("vocab.distance", mid) for mid in NOT_VOCAB_DISTANCES}
+    }
     covered = set().union(*(exercised(pipeline.parse_config_text(text)) for _, _, text in digests.runs()))
     assert sorted(required - covered, key=str) == []
 
@@ -97,7 +96,9 @@ def test_gallery_runs_are_the_benchmark_configuration(digests):
     assert seeds == list(range(7, 31))
 
 
-@pytest.mark.parametrize("measure_id", sorted(NOT_VOCAB_DISTANCES - {"emd"}))
+# emd would take raw descriptors through a transportation problem per
+# descriptor-word pair, far too slow to run
+@pytest.mark.parametrize("measure_id", sorted(set(distances.ONE_MASS) - {"emd"}))
 def test_measures_left_out_as_vocab_distance_refuse_raw_descriptors(measure_id):
     x = np.random.default_rng(3).random((60, 8))  # positive rows, L1 norms about 4
     with pytest.raises(ValueError):

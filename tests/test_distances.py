@@ -104,6 +104,9 @@ def test_kl_hand_value_and_asymmetry():
 def test_kl_requires_normalized():
     with pytest.raises(ValueError):
         pairwise_distances("kl", [1.0, 1.0], [0.5, 0.5])
+    # the error names the id as the caller wrote it, and the row's sum
+    with pytest.raises(ValueError, match=r"^KL requires L1-normalized inputs; second sums to .*2\.0"):
+        pairwise_distances("KL", [0.5, 0.5], [[0.5, 0.5], [1.0, 1.0]])
 
 
 def test_jeffrey_hand_value_and_symmetry():
