@@ -52,6 +52,18 @@ class Reader:
             raise ValueError(f"{self.path}: bad record layout in {self.what} file") from None
         return np.frombuffer(self.data, dt, count, self._take(dt.itemsize * count))
 
+    def build(self, make, *args):
+        """``make(*args)``, a ValueError from it naming this file."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: {exc}") from None
+
+    def finite(self, *values) -> None:
+        """Refuse the file unless every number in ``values`` is finite."""
+        if not all(np.isfinite(v).all() for v in values):
+            raise ValueError(f"{self.path}: non-finite value in {self.what} file")
+
     def end(self, following: int = 0) -> None:
         """Check that exactly ``following`` bytes of the file are left, none
         by default: a corrupt count or size field that makes the reader stop

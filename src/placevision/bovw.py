@@ -244,4 +244,4 @@ def read_vocabulary(path) -> Vocabulary:
     did, built = r.text(), r.text()
     centers = r.array("<f4", k * dim).reshape(k, dim).astype(np.float64)
     r.end()
-    return Vocabulary(centers, did, built, seed)
+    return r.build(Vocabulary, centers, did, built, seed)

@@ -200,10 +200,12 @@ def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
 def _transportation_simplex(supply, demand, cost, tol: float = 1e-12) -> np.ndarray:
     """Solve the balanced transportation problem min sum c_ij f_ij.
 
-    Classic MODI method: start from the northwest-corner solution, then
-    repeatedly price out non-basic cells with the dual variables and
-    pivot along the unique basis cycle until no negative reduced cost
-    remains.
+    Network simplex over the basis tree, whose nodes are rows 0..m-1 and
+    columns m..m+n-1: start from the northwest-corner solution; on each
+    pivot, one walk from row 0 gives every node its dual (u_i + v_j = c_ij
+    on basic cells), parent and depth, the cell of least reduced cost
+    enters, and the tree path from its row to its column closes the cycle.
+    Stops when no reduced cost is below -tol.
     """
     supply = np.asarray(supply, dtype=np.float64)
     demand = np.asarray(demand, dtype=np.float64)
@@ -211,104 +213,58 @@ def _transportation_simplex(supply, demand, cost, tol: float = 1e-12) -> np.ndar
         raise ValueError("transportation problem must be balanced")
     m, n = supply.size, demand.size
     flow, basis = _northwest_corner(supply, demand)
-    basis_set = set(basis)
+    basis = set(basis)
 
-    max_pivots = 50 * (m + n) ** 2 + 1000
-    for _ in range(max_pivots):
-        # dual variables from u_i + v_j = c_ij on basic cells (tree walk)
-        u = np.full(m, np.nan)
-        v = np.full(n, np.nan)
-        u[0] = 0.0
-        rows_of_col = {}
-        cols_of_row = {}
-        for (bi, bj) in basis:
-            cols_of_row.setdefault(bi, []).append(bj)
-            rows_of_col.setdefault(bj, []).append(bi)
-        stack = [("r", 0)]
+    def cell(node, other):
+        """The basic cell joining a node to an adjacent one."""
+        return (node, other - m) if node < m else (other, node - m)
+
+    for _ in range(50 * (m + n) ** 2 + 1000):
+        adjacent = [[] for _ in range(m + n)]
+        for i, j in basis:
+            adjacent[i].append(m + j)
+            adjacent[m + j].append(i)
+        dual = np.zeros(m + n)
+        parent = [-1] * (m + n)
+        depth = [0] + [-1] * (m + n - 1)
+        stack = [0]
         while stack:
-            kind, idx = stack.pop()
-            if kind == "r":
-                for bj in cols_of_row.get(idx, ()):
-                    if np.isnan(v[bj]):
-                        v[bj] = cost[idx, bj] - u[idx]
-                        stack.append(("c", bj))
-            else:
-                for bi in rows_of_col.get(idx, ()):
-                    if np.isnan(u[bi]):
-                        u[bi] = cost[bi, idx] - v[idx]
-                        stack.append(("r", bi))
+            node = stack.pop()
+            for nxt in adjacent[node]:
+                if depth[nxt] < 0:
+                    dual[nxt] = cost[cell(node, nxt)] - dual[node]
+                    parent[nxt], depth[nxt] = node, depth[node] + 1
+                    stack.append(nxt)
         # a proper basis spans every row and column
-        if np.isnan(u).any() or np.isnan(v).any():
+        if min(depth) < 0:
             raise RuntimeError("transportation basis lost connectivity")
 
-        reduced = cost - u[:, None] - v[None, :]
-        for (bi, bj) in basis:
-            reduced[bi, bj] = 0.0
-        enter = np.unravel_index(np.argmin(reduced), reduced.shape)
+        reduced = cost - dual[:m, None] - dual[None, m:]
+        reduced[tuple(zip(*basis))] = 0.0
+        enter = divmod(int(np.argmin(reduced)), n)
         if reduced[enter] >= -tol:
             return flow
 
-        cycle = _find_cycle(basis, enter)
-        # alternate +/- starting at the entering cell
-        minus_cells = cycle[1::2]
-        theta_idx = min(
-            range(len(minus_cells)), key=lambda t: (flow[minus_cells[t]], minus_cells[t])
-        )
-        theta = flow[minus_cells[theta_idx]]
-        for t, cell in enumerate(cycle):
-            flow[cell] += theta if t % 2 == 0 else -theta
-        leaving = minus_cells[theta_idx]
+        # the cycle: the entering cell (+), then the tree path from its row
+        # to its column, whose cells alternate -/+ from the row end
+        row_end, col_end = [], []
+        a, b = enter[0], m + enter[1]
+        while a != b:
+            if depth[a] >= depth[b]:
+                row_end.append(cell(a, parent[a]))
+                a = parent[a]
+            else:
+                col_end.append(cell(b, parent[b]))
+                b = parent[b]
+        cycle = [enter] + row_end + col_end[::-1]
+        leaving = min(cycle[1::2], key=lambda c: (flow[c], c))
+        theta = flow[leaving]
+        for t, c in enumerate(cycle):
+            flow[c] += -theta if t % 2 else theta
         flow[leaving] = 0.0
-        basis_set.discard(leaving)
-        basis_set.add(enter)
-        basis = sorted(basis_set)
+        basis.remove(leaving)
+        basis.add(enter)
     raise RuntimeError("transportation simplex failed to converge")
-
-
-def _find_cycle(basis, enter):
-    """Unique alternating cycle created by adding `enter` to the basis tree.
-
-    Returned as a cell list starting at `enter`, alternating row moves and
-    column moves.
-    """
-    cols_of_row = {}
-    rows_of_col = {}
-    for (bi, bj) in basis:
-        cols_of_row.setdefault(bi, []).append(bj)
-        rows_of_col.setdefault(bj, []).append(bi)
-
-    start_row, target_col = enter
-    # path in the bipartite basis graph from row start_row to column target_col
-    parent = {("r", start_row): None}
-    queue = [("r", start_row)]
-    while queue:
-        node = queue.pop(0)
-        kind, idx = node
-        if kind == "r":
-            for bj in cols_of_row.get(idx, ()):
-                nxt = ("c", bj)
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        else:
-            for bi in rows_of_col.get(idx, ()):
-                nxt = ("r", bi)
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-    node = ("c", target_col)
-    if node not in parent:
-        raise RuntimeError("entering cell closes no cycle; basis is not a tree")
-    path = []
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()  # row start_row ... col target_col
-    cells = [enter]
-    for a, b in zip(path, path[1:]):
-        (ka, ia), (kb, ib) = a, b
-        cells.append((ia, ib) if ka == "r" else (ib, ia))
-    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +326,7 @@ def pairwise_distances(measure_id: str, queries: np.ndarray, gallery: np.ndarray
             bad = np.flatnonzero(np.abs(sums - 1.0) > MASS_TOLERANCE)
             if bad.size:
                 raise ValueError(
-                    f"{measure_id} requires L1-normalized inputs; {name} sums to {sums[bad[0]]!r}"
+                    f"{measure_id} requires L1-normalized inputs; {name} sums to {float(sums[bad[0]])}"
                 )
     out = np.empty((q.shape[0], g.shape[0]))
     step = max(1, _BLOCK_BYTES // max(1, 8 * g.shape[0] * g.shape[1]))

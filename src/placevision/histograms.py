@@ -47,7 +47,7 @@ class FeatureHistogram:
                 f"bins, got {b.size}"
             )
         if self.normalized and abs(b.sum() - 1.0) > MASS_TOLERANCE:
-            raise ValueError(f"normalized histogram sums to {b.sum()!r}, not 1")
+            raise ValueError(f"normalized histogram sums to {float(b.sum())}, not 1")
         b.flags.writeable = False
         object.__setattr__(self, "bins", b)
 

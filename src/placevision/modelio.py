@@ -106,13 +106,14 @@ def load_model(path) -> ClassifierModel:
     labels = [r.text() for _ in range(n_labels)]
 
     if _KINDS[kind_code] == "svm":
-        spec = KernelSpec.parse(r.text())
+        spec = r.build(KernelSpec.parse, r.text())
         (c,) = r.unpack("<d")
         machines: Dict[str, BinarySvm] = {}
         for lb in labels:
             n_sv, dim, bias = r.unpack("<IId")
             sv = r.array("<f8", n_sv * dim).reshape(n_sv, dim)
             coef = r.array("<f8", n_sv)
+            r.finite(sv, coef, bias)
             machines[lb] = BinarySvm(sv.copy(), coef.copy(), bias, spec)
         r.end()
         return ClassifierModel("svm", config_id, labels, svm=SvmModel(labels, machines, spec, c))
@@ -124,11 +125,10 @@ def load_model(path) -> ClassifierModel:
     bad = np.flatnonzero(records["label"] >= n_labels)
     if bad.size:
         raise ValueError(f"{path}: gallery label index {records['label'][bad[0]]} out of range")
-    try:
-        items = Composite([part[:3] for part in parts], [records[f"p{i}"] for i in range(n_parts)])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    matrices = [records[f"p{i}"] for i in range(n_parts)]
+    r.finite(*matrices)
+    items = r.build(Composite, [part[:3] for part in parts], matrices)
     gallery = ([labels[i] for i in records["label"].tolist()], items)
-    thresholds = ThresholdSet(dict(zip(labels, r.array("<f8", n_labels).tolist())))
+    thresholds = r.build(ThresholdSet, dict(zip(labels, r.array("<f8", n_labels).tolist())))
     r.end()
     return ClassifierModel("nn", config_id, labels, gallery=gallery, thresholds=thresholds)

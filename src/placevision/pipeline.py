@@ -382,7 +382,9 @@ def _extract_one(args) -> Tuple[str, Optional[str]]:
 
     Returns (path, None) on success or (path, warning) on failure; a
     failure removes the row's artifacts from earlier runs, so no later
-    stage serves features of an image that no longer extracts.
+    stage serves features of an image that no longer extracts.  A
+    re-extraction also removes the row's word histogram, which only the
+    encode stage rebuilds from the new descriptors.
     """
     image_path, resolved, out_dir, config = args
     out = Path(out_dir)
@@ -393,6 +395,7 @@ def _extract_one(args) -> Tuple[str, Optional[str]]:
         hash_file = out / f"{stem}.hash"
         if hash_file.exists() and hash_file.read_text() == fingerprint:
             return image_path, None  # cached, inputs unchanged
+        (out / f"{stem}.bovw.csv").unlink(missing_ok=True)
         img = load_pnm(resolved)
         for part in config.parts:
             if part.name == "bovw":

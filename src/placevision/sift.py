@@ -771,6 +771,5 @@ def read_descriptors(path) -> Tuple[np.ndarray, np.ndarray]:
     count, dim = r.unpack("<II")
     records = r.array("<f4", count * (4 + dim)).reshape(count, 4 + dim).astype(np.float64)
     r.end()
-    if not np.isfinite(records).all():
-        raise ValueError(f"{path}: non-finite value in descriptor file")
+    r.finite(records)
     return records[:, :4], records[:, 4:]

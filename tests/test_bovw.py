@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -497,7 +498,7 @@ def test_encode_rejects_empty_descriptor_set():
 
 
 def test_bow_vector_invariant():
-    with pytest.raises(ValueError, match="normalized histogram sums to"):
+    with pytest.raises(ValueError, match=r"^normalized histogram sums to 0\.9, not 1$"):
         FeatureHistogram(np.array([0.5, 0.4]), "bovw:2", normalized=True)
 
 
@@ -515,6 +516,16 @@ def test_vocabulary_file_round_trip(tmp_path):
     # identical content gives identical bytes
     write_vocabulary(vocab, tmp_path / "vocab2.bin")
     assert (tmp_path / "vocab.bin").read_bytes() == (tmp_path / "vocab2.bin").read_bytes()
+
+
+def test_vocabulary_file_with_non_finite_centre_is_an_error_naming_it(tmp_path):
+    path = tmp_path / "vocab.bin"
+    write_vocabulary(Vocabulary(np.eye(3, 4)), path)
+    data = bytearray(path.read_bytes())
+    data[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # the last centre value
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: centers must be finite$"):
+        read_vocabulary(path)
 
 
 def test_vocabulary_file_rejects_garbage(tmp_path):

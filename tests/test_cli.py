@@ -12,7 +12,9 @@ import pytest
 
 from placevision import pipeline, synth
 from placevision.cli import build_parser, main
+from placevision.classify import Composite
 from placevision.image import Image, load_pnm, write_pnm
+from placevision.modelio import load_model, save_model
 from placevision.pipeline import artifact_stem, parse_config_text, read_manifest
 
 CONFIG = """
@@ -325,6 +327,30 @@ def test_failed_reextraction_leaves_no_stale_features(dataset, tmp_path, capsys)
     preds = (out / "predictions.csv").read_text().splitlines()
     assert len(preds) == 1 + 5
     assert not any(victim.path in ln for ln in preds)
+
+
+def test_reextracted_row_keeps_no_stale_word_histogram(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    man = _copy_dataset(dataset, data)
+    out = tmp_path / "out"
+    cfg = dataset / "pipeline.cfg"
+    stages = ["features", "vocab", "encode"]
+    for stage in stages:
+        assert run_stage([stage, "--manifest", man, "--config", cfg, "--out", out]) == 0
+    victim = read_manifest(man).rows[0]
+    # a flat image still extracts, but has no SIFT keypoints to encode
+    write_pnm(Image(np.full((96, 96, 3), 0.5)), data / victim.path)
+    capsys.readouterr()
+    for stage in stages + ["train"]:
+        assert run_stage([stage, "--manifest", man, "--config", cfg, "--out", out]) == 0
+    assert not (out / "features" / f"{artifact_stem(victim.path)}.bovw.csv").exists()
+    err = capsys.readouterr().err
+    assert f"warning: missing bovw artifact for {victim.path}" in err
+    assert "over 17 examples" in err
+    assert run_stage(["predict", "--manifest", man, "--config", cfg, "--out", out]) == 0
+    with (out / "predictions.csv").open(newline="") as fh:
+        answers = {path: label for path, label, _ in list(csv.reader(fh))[1:]}
+    assert len(answers) == 18 and answers[victim.path] == "UNKNOWN"
 
 
 @pytest.mark.parametrize("line, named", [
@@ -658,6 +684,24 @@ def test_descriptor_file_with_non_finite_value_is_data_error(dataset, trained, t
                     "--config", dataset / "pipeline.cfg", "--out", out])
     assert rc == 2
     assert f"{path}: non-finite value in descriptor file" in capsys.readouterr().err
+
+
+def test_predict_on_a_non_finite_gallery_is_data_error_naming_the_model(dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    man = dataset / "manifest.tsv"
+    cfg = tmp_path / "nn.cfg"
+    cfg.write_text("features.parts = rgb\nclassifier.kind = nn\nseed = 5\n")
+    for stage in ("features", "train"):
+        assert run_stage([stage, "--manifest", man, "--config", cfg, "--out", out]) == 0
+    path = out / "model.bin"
+    model = load_model(path)
+    labels, items = model.gallery
+    rows = items.matrices[0].copy()
+    rows[0, 0] = np.nan
+    save_model(replace(model, gallery=(labels, Composite(items.parts, (rows,)))), path)
+    capsys.readouterr()
+    assert run_stage(["predict", "--manifest", man, "--config", cfg, "--out", out]) == 2
+    assert f"{path}: non-finite value in model file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change, builder, differs", [

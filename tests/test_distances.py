@@ -105,7 +105,7 @@ def test_kl_requires_normalized():
     with pytest.raises(ValueError):
         pairwise_distances("kl", [1.0, 1.0], [0.5, 0.5])
     # the error names the id as the caller wrote it, and the row's sum
-    with pytest.raises(ValueError, match=r"^KL requires L1-normalized inputs; second sums to .*2\.0"):
+    with pytest.raises(ValueError, match=r"^KL requires L1-normalized inputs; second sums to 2\.0$"):
         pairwise_distances("KL", [0.5, 0.5], [[0.5, 0.5], [1.0, 1.0]])
 
 
@@ -344,3 +344,181 @@ def test_jeffrey_equals_the_every_bin_definition_byte_for_byte(monkeypatch, bloc
             m.setitem(distances._BLOCKS, "jeffrey", (dense_jeffrey_block, {}))
             want = pairwise_distances("jeffrey", q, g)
         assert got.tobytes() == want.tobytes(), (seed, block_bytes)
+
+
+# ---------------------------------------------------------------------------
+# the tree-walk simplex against the MODI solver it replaced
+# ---------------------------------------------------------------------------
+
+def reference_northwest_corner(supply, demand):
+    """Initial basic feasible solution with exactly m+n-1 basic cells."""
+    m, n = supply.size, demand.size
+    flow = np.zeros((m, n))
+    basis = []
+    s = supply.copy()
+    d = demand.copy()
+    i = j = 0
+    while True:
+        q = min(s[i], d[j])
+        flow[i, j] = q
+        basis.append((i, j))
+        s[i] -= q
+        d[j] -= q
+        if i == m - 1 and j == n - 1:
+            break
+        # advance exactly one index per cell so the basis keeps m+n-1 cells
+        if s[i] <= d[j]:
+            i, j = (i + 1, j) if i < m - 1 else (i, j + 1)
+        else:
+            i, j = (i, j + 1) if j < n - 1 else (i + 1, j)
+    return flow, basis
+
+
+def reference_transportation_simplex(supply, demand, cost, tol=1e-12):
+    """Reference: the MODI method, duals by one basis walk and the cycle by a
+    second, breadth-first one."""
+    supply = np.asarray(supply, dtype=np.float64)
+    demand = np.asarray(demand, dtype=np.float64)
+    if abs(supply.sum() - demand.sum()) > 1e-6 * max(1.0, supply.sum()):
+        raise ValueError("transportation problem must be balanced")
+    m, n = supply.size, demand.size
+    flow, basis = reference_northwest_corner(supply, demand)
+    basis_set = set(basis)
+
+    max_pivots = 50 * (m + n) ** 2 + 1000
+    for _ in range(max_pivots):
+        # dual variables from u_i + v_j = c_ij on basic cells (tree walk)
+        u = np.full(m, np.nan)
+        v = np.full(n, np.nan)
+        u[0] = 0.0
+        rows_of_col = {}
+        cols_of_row = {}
+        for (bi, bj) in basis:
+            cols_of_row.setdefault(bi, []).append(bj)
+            rows_of_col.setdefault(bj, []).append(bi)
+        stack = [("r", 0)]
+        while stack:
+            kind, idx = stack.pop()
+            if kind == "r":
+                for bj in cols_of_row.get(idx, ()):
+                    if np.isnan(v[bj]):
+                        v[bj] = cost[idx, bj] - u[idx]
+                        stack.append(("c", bj))
+            else:
+                for bi in rows_of_col.get(idx, ()):
+                    if np.isnan(u[bi]):
+                        u[bi] = cost[bi, idx] - v[idx]
+                        stack.append(("r", bi))
+        # a proper basis spans every row and column
+        if np.isnan(u).any() or np.isnan(v).any():
+            raise RuntimeError("transportation basis lost connectivity")
+
+        reduced = cost - u[:, None] - v[None, :]
+        for (bi, bj) in basis:
+            reduced[bi, bj] = 0.0
+        enter = np.unravel_index(np.argmin(reduced), reduced.shape)
+        if reduced[enter] >= -tol:
+            return flow
+
+        cycle = reference_find_cycle(basis, enter)
+        # alternate +/- starting at the entering cell
+        minus_cells = cycle[1::2]
+        theta_idx = min(
+            range(len(minus_cells)), key=lambda t: (flow[minus_cells[t]], minus_cells[t])
+        )
+        theta = flow[minus_cells[theta_idx]]
+        for t, cell in enumerate(cycle):
+            flow[cell] += theta if t % 2 == 0 else -theta
+        leaving = minus_cells[theta_idx]
+        flow[leaving] = 0.0
+        basis_set.discard(leaving)
+        basis_set.add(enter)
+        basis = sorted(basis_set)
+    raise RuntimeError("transportation simplex failed to converge")
+
+
+def reference_find_cycle(basis, enter):
+    """Unique alternating cycle created by adding `enter` to the basis tree.
+
+    Returned as a cell list starting at `enter`, alternating row moves and
+    column moves.
+    """
+    cols_of_row = {}
+    rows_of_col = {}
+    for (bi, bj) in basis:
+        cols_of_row.setdefault(bi, []).append(bj)
+        rows_of_col.setdefault(bj, []).append(bi)
+
+    start_row, target_col = enter
+    # path in the bipartite basis graph from row start_row to column target_col
+    parent = {("r", start_row): None}
+    queue = [("r", start_row)]
+    while queue:
+        node = queue.pop(0)
+        kind, idx = node
+        if kind == "r":
+            for bj in cols_of_row.get(idx, ()):
+                nxt = ("c", bj)
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        else:
+            for bi in rows_of_col.get(idx, ()):
+                nxt = ("r", bi)
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+    node = ("c", target_col)
+    if node not in parent:
+        raise RuntimeError("entering cell closes no cycle; basis is not a tree")
+    path = []
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    path.reverse()  # row start_row ... col target_col
+    cells = [enter]
+    for a, b in zip(path, path[1:]):
+        (ka, ia), (kb, ib) = a, b
+        cells.append((ia, ib) if ka == "r" else (ib, ia))
+    return cells
+
+
+def _emd_instance(rng, n):
+    """Masses and a ground matrix over n bins; integer masses and tied
+    integer grounds make degenerate pivots and equal reduced costs."""
+    integer = rng.random() < 0.5
+    h, k = (rng.integers(0, 4, n).astype(float) if integer else rng.random(n) for _ in range(2))
+    for x in (h, k):
+        x[rng.random(n) < 0.25] = 0.0
+        if x.sum() == 0:
+            x[rng.integers(0, n)] = 1.0
+    totals = rng.integers(0, 3)  # equal, first heavier, second heavier
+    if totals == 0 and not integer:
+        k *= h.sum() / k.sum()
+    elif totals == 1:
+        h[rng.integers(0, n)] += 1.0 + int(integer)
+    elif totals == 2:
+        k[rng.integers(0, n)] += 1.0 + int(integer)
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        pts = rng.random((n, 2))
+        ground = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    elif kind == 1:
+        ground = rng.integers(1, 4, (n, n)).astype(float)
+        ground = np.triu(ground, 1) + np.triu(ground, 1).T
+    else:
+        ground = linear_ground_distance(n)
+    return h, k, ground
+
+
+def test_emd_flows_equal_the_modi_reference_byte_for_byte(monkeypatch):
+    for seed in range(1100):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 11
+        h, k, ground = _emd_instance(rng, n)
+        got_cost, got_flow = emd(h, k, ground)
+        with monkeypatch.context() as m:
+            m.setattr(distances, "_transportation_simplex", reference_transportation_simplex)
+            want_cost, want_flow = emd(h, k, ground)
+        assert np.float64(got_cost).tobytes() == np.float64(want_cost).tobytes(), seed
+        assert got_flow.tobytes() == want_flow.tobytes(), seed

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -112,6 +113,49 @@ def test_model_file_rejects_out_of_range_gallery_label(tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="label index 7"):
         load_model(p)
+
+
+def _patched_model(tmp_path, model, old: bytes, new: bytes):
+    """model.bin of ``model`` with the one occurrence of ``old`` replaced by ``new``."""
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+    return path
+
+
+_NAN = struct.pack("<d", np.nan)
+
+
+def _svm_model():
+    spec = KernelSpec("rbf", sigma=1.5)
+    machines = {
+        "a": BinarySvm(np.array([[0.125, 0.375]]), np.array([0.625]), 0.875, spec),
+        "b": BinarySvm(np.array([[0.25, 0.5]]), np.array([-0.625]), -0.875, spec),
+    }
+    return ClassifierModel("svm", "cfg", ["a", "b"], svm=SvmModel(["a", "b"], machines, spec, 4.0))
+
+
+def _nn_model():
+    gallery = labeled([("a", make_cf([0.125, 0.875], "jeffrey", "rgb")),
+                       ("b", make_cf([0.375, 0.625], "jeffrey", "rgb"))])
+    return ClassifierModel("nn", "rgb:2:jeffrey:1", ["a", "b"], gallery=gallery,
+                           thresholds=ThresholdSet({"a": 0.25, "b": 0.75}))
+
+
+@pytest.mark.parametrize("model, old, new, message", [
+    (_svm_model, b"rbf:1.5", b"rbX:1.5", "unknown kernel 'rbX:1.5'"),
+    (_svm_model, struct.pack("<d", 0.375), _NAN, "non-finite value in model file"),  # support vector
+    (_svm_model, struct.pack("<d", 0.625), _NAN, "non-finite value in model file"),  # coefficient
+    (_svm_model, struct.pack("<d", -0.875), _NAN, "non-finite value in model file"),  # bias
+    (_nn_model, struct.pack("<d", 0.75), _NAN, "threshold for 'b' must be finite, got nan"),
+    (_nn_model, struct.pack("<d", 0.375), _NAN, "non-finite value in model file"),  # gallery row
+], ids=["kernel", "support-vector", "coefficient", "bias", "threshold", "gallery-row"])
+def test_bad_model_value_is_an_error_naming_the_file(tmp_path, model, old, new, message):
+    path = _patched_model(tmp_path, model(), old, new)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_model(path)
 
 
 def _per_row_nn_bytes(model):
