@@ -19,14 +19,13 @@ from .classify import (
     KernelSpec,
     SvmModel,
     ThresholdSet,
-    UNKNOWN,
     ga_optimize_thresholds,
     nn_decide,
     nn_distances,
     ova_train,
     svm_train,
 )
-from .evaluate import EvalReport, build_report, confusion_matrix, metrics, pr_curve, write_report
+from .evaluate import UNKNOWN, EvalReport, build_report, confusion_matrix, metrics, pr_curve, write_report
 
 __version__ = "0.1.0"
 

@@ -23,9 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .distances import pairwise_distances, sq_euclidean_gram
-from .rules import COUNT, NON_NEGATIVE, RATE, SEED, check_fields
-
-UNKNOWN = "UNKNOWN"
+from .evaluate import UNKNOWN, rates
+from .rules import COUNT, FINITE, NON_NEGATIVE, POSITIVE, RATE, SEED, check_fields
 
 _SIGMA_ROWS = 1000  # median heuristic subsample size
 # SMO stops once no example breaks the KKT conditions by more than _KKT_TOL,
@@ -44,6 +43,9 @@ class KernelSpec:
     c: float = 0.0  # additive constant for the linear kernel
     sigma: float = 1.0  # bandwidth for the rbf kernel
 
+    def __post_init__(self):
+        check_fields(self, {"c": FINITE, "sigma": POSITIVE})  # sigma: the rule of classifier.rbf_sigma
+
     def id_string(self) -> str:
         if self.kind == "linear":
             return f"linear:{self.c:.17g}"
@@ -53,15 +55,13 @@ class KernelSpec:
 
     @staticmethod
     def parse(text: str) -> "KernelSpec":
-        parts = text.strip().lower().split(":")
-        kind = parts[0]
-        if kind == "linear":
-            return KernelSpec("linear", c=float(parts[1]) if len(parts) > 1 else 0.0)
-        if kind == "rbf":
-            return KernelSpec("rbf", sigma=float(parts[1]) if len(parts) > 1 else 1.0)
-        if kind == "chi2":
-            return KernelSpec("chi2")
-        raise ValueError(f"unknown kernel {text!r}")
+        kind, *values = text.strip().lower().split(":")
+        takes = {"linear": ["c"], "rbf": ["sigma"], "chi2": []}.get(kind)
+        if takes is None:
+            raise ValueError(f"unknown kernel {text!r}")
+        if len(values) > len(takes):
+            raise ValueError(f"kernel {text!r}: {kind} takes {f'only {takes[0]}' if takes else 'no parameter'}")
+        return KernelSpec(kind, **dict(zip(takes, map(float, values))))
 
 
 def gram_matrix(xa: np.ndarray, xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -409,23 +409,6 @@ class GaResult:
     ceiling: float  # F of accepting exactly the correct nearest neighbours
 
 
-def _micro_f_measure(accepted: np.ndarray, correct: np.ndarray) -> np.ndarray:
-    """Vectorized micro F over population rows.
-
-    accepted/correct: (pop, n_items) booleans; an item counts as
-    relevant-retrieved when accepted and correctly labeled.
-    """
-    retrieved = accepted.sum(axis=1).astype(float)
-    relevant_retrieved = (accepted & correct).sum(axis=1).astype(float)
-    n = accepted.shape[1]
-    precision = np.divide(
-        relevant_retrieved, retrieved, out=np.zeros_like(retrieved), where=retrieved > 0
-    )
-    recall = relevant_retrieved / n
-    pr = precision + recall
-    return np.divide(2 * precision * recall, pr, out=np.zeros_like(pr), where=pr > 0)
-
-
 def ga_optimize_thresholds(
     train: Tuple[Sequence[str], Composite],
     validation: Tuple[Sequence[str], Composite],
@@ -433,8 +416,8 @@ def ga_optimize_thresholds(
 ) -> GaResult:
     """Real-coded GA over per-class rejection thresholds.
 
-    Fitness is the micro F-measure of thresholded nearest-neighbor
-    classification of the validation set against the training gallery.
+    Fitness is the pooled F of ``evaluate.build_report`` over the
+    thresholded nearest-neighbor answers for the validation set.
     Rank selection with elitism; genes live in [0, max observed
     distance]; mutation adds Gaussian noise of 0.05 x range.
     Deterministic for a fixed seed.  The search stops once the best F
@@ -462,13 +445,13 @@ def ga_optimize_thresholds(
 
     def fitness(p: np.ndarray) -> np.ndarray:
         accepted = nearest_dist[None, :] <= p[:, nearest_class]
-        return _micro_f_measure(accepted, np.broadcast_to(correct, accepted.shape))
+        return rates((accepted & correct).sum(axis=1), accepted.sum(axis=1), len(correct))[2]
 
     # F <= 2c/(c+n) for c correct nearest neighbours, with equality only when
     # exactly the correct rows are accepted; selection keeps an earlier best
     # on ties, so once the ceiling is reached no later generation changes the
     # result, and the search stops there
-    ceiling = float(_micro_f_measure(correct[None, :], correct[None, :])[0])
+    ceiling = float(rates(correct.sum(), correct.sum(), len(correct))[2])
     history = np.empty(params.generations)
     best_genome = pop[0].copy()
     best_fit = -1.0

@@ -1,9 +1,9 @@
 """Evaluation measures, confusion matrices, PR curves, CSV reports.
 
-Conventions for empty denominators keep every metric total: precision
-is 0 when nothing was retrieved, and F is 0 when P + R = 0.  Aggregate
-rows are micro-averaged (pooled counts).  The UNKNOWN rejection label
-occupies an extra confusion column and never counts as retrieved.
+Conventions for empty denominators keep every metric total: a ratio is
+0 where its denominator is.  Aggregate rows are micro-averaged (pooled
+counts).  The UNKNOWN rejection label is no class: it occupies an extra
+confusion column and never counts as retrieved.
 """
 
 from __future__ import annotations
@@ -17,7 +17,22 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .binfile import write_atomic
-from .classify import UNKNOWN
+
+UNKNOWN = "UNKNOWN"
+
+
+def rates(relevant_retrieved, retrieved, relevant) -> Tuple[np.ndarray, ...]:
+    """(precision, recall, f_measure, error_rate) arrays from arrays of
+    retrieval counts, elementwise; each is 0 where its denominator is."""
+    hit, ret, rel = (np.asarray(a, dtype=np.float64) for a in (relevant_retrieved, retrieved, relevant))
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0)
+
+    precision = ratio(hit, ret)
+    recall = ratio(hit, rel)
+    f_measure = ratio(2 * precision * recall, precision + recall)
+    return precision, recall, f_measure, ratio(rel - hit, rel)
 
 
 def metrics(relevant_retrieved: int, retrieved: int, relevant: int) -> Tuple[float, float, float, float]:
@@ -29,32 +44,24 @@ def metrics(relevant_retrieved: int, retrieved: int, relevant: int) -> Tuple[flo
             f"inconsistent counts: {relevant_retrieved} relevant retrieved out of "
             f"{retrieved} retrieved / {relevant} relevant"
         )
-    precision = relevant_retrieved / retrieved if retrieved > 0 else 0.0
-    recall = relevant_retrieved / relevant
-    f_measure = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    error_rate = (relevant - relevant_retrieved) / relevant
-    return precision, recall, f_measure, error_rate
+    return tuple(float(v) for v in rates(relevant_retrieved, retrieved, relevant))
 
 
 def confusion_matrix(
     predictions: Sequence[str], truths: Sequence[str], labels: Sequence[str] | None = None
 ) -> Tuple[np.ndarray, List[str]]:
-    """Counts with one row per true class and one column per predicted
-    class plus a final UNKNOWN column.  Returns (matrix, class labels)."""
+    """(matrix, classes): counts with one row per class and one column per
+    answer, the last for UNKNOWN.  The classes are every label that occurs:
+    the given ``labels``, the truths and the answers other than UNKNOWN."""
     if len(predictions) != len(truths):
         raise ValueError(f"length mismatch: {len(predictions)} vs {len(truths)}")
-    classes = sorted(set(labels)) if labels is not None else sorted(set(truths))
-    index = {lb: i for i, lb in enumerate(classes)}
+    if UNKNOWN in truths:
+        raise ValueError(f"a true label cannot be the rejection label {UNKNOWN}")
+    classes = sorted(set(truths).union(() if labels is None else labels, predictions) - {UNKNOWN})
+    index = {lb: i for i, lb in enumerate([*classes, UNKNOWN])}
+    cells = np.array([[index[t] for t in truths], [index[p] for p in predictions]], dtype=np.intp)
     mat = np.zeros((len(classes), len(classes) + 1), dtype=np.int64)
-    for pred, true in zip(predictions, truths):
-        if true not in index:
-            raise ValueError(f"true label {true!r} outside the class set")
-        if pred == UNKNOWN:
-            mat[index[true], len(classes)] += 1
-        elif pred in index:
-            mat[index[true], index[pred]] += 1
-        else:
-            raise ValueError(f"prediction {pred!r} outside class set + UNKNOWN")
+    np.add.at(mat, tuple(cells), 1)
     return mat, classes
 
 
@@ -71,21 +78,13 @@ def pr_curve(scored: Sequence[Tuple[float, bool]]) -> List[Tuple[float, float]]:
     rel = np.array([bool(r) for _, r in scored])
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    n_relevant = int(rel.sum())
     order = np.argsort(-scores, kind="stable")
-    points = []
-    retrieved = 0
-    hits = 0
     sorted_scores = scores[order]
-    for idx, item in enumerate(order):
-        retrieved += 1
-        hits += bool(rel[item])
-        boundary = idx + 1 == len(order) or sorted_scores[idx + 1] != sorted_scores[idx]
-        if boundary:
-            precision = hits / retrieved
-            recall = hits / n_relevant if n_relevant else 0.0
-            points.append((recall, precision))
-    return points
+    # the last item of each run of equal scores closes one retrieval set
+    last = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
+    hits = np.cumsum(rel[order])[last]
+    precision, recall = rates(hits, np.flatnonzero(last) + 1, rel.sum())[:2]
+    return list(zip(recall.tolist(), precision.tolist()))
 
 
 @dataclass
@@ -98,8 +97,7 @@ class EvalReport:
 
     @property
     def accuracy(self) -> float:
-        total = self.confusion.sum()
-        return float(np.trace(self.confusion[:, : len(self.labels)]) / total) if total else 0.0
+        return self.aggregate[1]  # the pooled recall, as every row is relevant
 
 
 def build_report(
@@ -114,17 +112,14 @@ def build_report(
     labeled" as the relevance signal.
     """
     mat, classes = confusion_matrix(predictions, truths, labels)
-    n = len(classes)
-    per_class = {}
-    for i, lb in enumerate(classes):
-        relevant = int(mat[i, :].sum())
-        retrieved = int(mat[:, i].sum())
-        hit = int(mat[i, i])
-        per_class[lb] = metrics(hit, retrieved, relevant) if relevant else (0.0, 0.0, 0.0, 0.0)
-    pooled_hit = int(np.trace(mat[:, :n]))
-    pooled_retrieved = int(mat[:, :n].sum())
-    pooled_relevant = int(mat.sum())
-    aggregate = metrics(pooled_hit, pooled_retrieved, pooled_relevant)
+    answered = mat[:, : len(classes)]
+    # one row of counts per class, then the pooled row
+    hit = np.append(np.diag(answered), np.trace(answered))
+    retrieved = np.append(answered.sum(axis=0), answered.sum())
+    relevant = np.append(mat.sum(axis=1), mat.sum())
+    rows = np.column_stack(rates(hit, retrieved, relevant)).tolist()
+    per_class = {lb: tuple(row) for lb, row in zip(classes, rows)}
+    aggregate = tuple(rows[-1])
     points = []
     if scores is not None:
         correct = [p == t for p, t in zip(predictions, truths)]

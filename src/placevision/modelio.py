@@ -21,6 +21,7 @@ import numpy as np
 
 from .binfile import Reader, pack_text, write_atomic
 from .classify import BinarySvm, Composite, KernelSpec, SvmModel, ThresholdSet
+from .rules import POSITIVE
 
 _MODEL_HEADER = b"PVMD" + struct.pack("<I", 1)  # tag, format version
 _KINDS = ("svm", "nn")  # kind code = index
@@ -108,6 +109,8 @@ def load_model(path) -> ClassifierModel:
     if _KINDS[kind_code] == "svm":
         spec = r.build(KernelSpec.parse, r.text())
         (c,) = r.unpack("<d")
+        if not POSITIVE.admits(c):  # the rule of classifier.c
+            raise ValueError(f"{path}: C must be {POSITIVE.text}, got {c!r}")
         machines: Dict[str, BinarySvm] = {}
         for lb in labels:
             n_sv, dim, bias = r.unpack("<IId")

@@ -23,7 +23,6 @@ import numpy as np
 from . import bovw as bovw_mod
 from .asift import extract_asift
 from .classify import (
-    UNKNOWN,
     Composite,
     GA_RULES,
     GaParams,
@@ -36,7 +35,7 @@ from .classify import (
     ova_train,
 )
 from .distances import ONE_MASS, parse_measure
-from .evaluate import build_report, write_csv, write_report
+from .evaluate import UNKNOWN, build_report, write_csv, write_report
 from .histograms import (
     DEFAULT_HSV_BINS,
     DEFAULT_RGB_BINS,
@@ -116,6 +115,8 @@ def read_manifest(path) -> Manifest:
             raise DataError(f"{p}:{ln}: malformed manifest row {line!r}")
         if parts[0] in seen:
             raise DataError(f"{p}:{ln}: duplicate path {parts[0]!r}")
+        if parts[1] == UNKNOWN:
+            raise DataError(f"{p}:{ln}: label {UNKNOWN} is reserved for rejected answers")
         seen.add(parts[0])
         try:
             seq = int(parts[2])
@@ -729,6 +730,7 @@ def run_evaluate(predictions_path, manifest: Manifest, report_dir, log=print):
     if not rows or rows[0] != ["path", "predicted", "score"]:
         raise DataError(f"{pred_file}: not a predictions file")
     truth = {r.path: r.label for r in manifest.rows}
+    seen = set()
     preds, truths, scores = [], [], []
     for ln, row in enumerate(rows[1:], start=2):
         if not row:
@@ -738,6 +740,9 @@ def run_evaluate(predictions_path, manifest: Manifest, report_dir, log=print):
         path, predicted, score = row
         if path not in truth:
             raise DataError(f"{pred_file}:{ln}: prediction for unknown path {path!r}")
+        if path in seen:
+            raise DataError(f"{pred_file}:{ln}: second prediction for path {path!r}")
+        seen.add(path)
         try:
             scores.append(FINITE.parse(score))
         except ValueError:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from placevision.classify import (
     UNKNOWN,
     Composite,
     GaParams,
-    _micro_f_measure,
     KernelSpec,
     ThresholdSet,
     ga_optimize_thresholds,
@@ -21,6 +21,7 @@ from placevision.classify import (
     ova_train,
     svm_train,
 )
+from placevision.evaluate import build_report
 
 
 def make_cf(v, measure="euclidean", name="g"):
@@ -57,6 +58,19 @@ def test_kernel_validation():
         gram_matrix([-0.1, 0.2], [0.1, 0.2], KernelSpec("chi2"))
     with pytest.raises(ValueError):
         KernelSpec.parse("sigmoid")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rbf:nan", "sigma must be a finite number > 0, got nan"),
+    ("rbf:-1", "sigma must be a finite number > 0, got -1.0"),
+    ("rbf:0", "sigma must be a finite number > 0, got 0.0"),
+    ("linear:inf", "c must be a finite number, got inf"),
+    ("chi2:5", "kernel 'chi2:5': chi2 takes no parameter"),
+    ("rbf:1:2", "kernel 'rbf:1:2': rbf takes only sigma"),
+])
+def test_kernel_spec_refuses_values_outside_their_rules(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KernelSpec.parse(text)
 
 
 def test_kernel_spec_round_trip():
@@ -364,6 +378,25 @@ def test_ga_validates_inputs():
         )
 
 
+# the GA's fitness as first written, the reference for `full_loop_ga` and
+# `_exact_optimum`
+def _micro_f_measure(accepted: np.ndarray, correct: np.ndarray) -> np.ndarray:
+    """Vectorized micro F over population rows.
+
+    accepted/correct: (pop, n_items) booleans; an item counts as
+    relevant-retrieved when accepted and correctly labeled.
+    """
+    retrieved = accepted.sum(axis=1).astype(float)
+    relevant_retrieved = (accepted & correct).sum(axis=1).astype(float)
+    n = accepted.shape[1]
+    precision = np.divide(
+        relevant_retrieved, retrieved, out=np.zeros_like(retrieved), where=retrieved > 0
+    )
+    recall = relevant_retrieved / n
+    pr = precision + recall
+    return np.divide(2 * precision * recall, pr, out=np.zeros_like(pr), where=pr > 0)
+
+
 def full_loop_ga(train, validation, params):
     """The GA as first written: every generation runs, parents are drawn by
     Generator.choice and each parent side gathers the ranked population."""
@@ -474,6 +507,20 @@ def test_ga_never_beats_the_exact_optimum_which_never_beats_the_ceiling(n_classe
     result = ga_optimize_thresholds(labeled(train), labeled(val), GaParams(population=6, generations=15, seed=seed))
     optimum = _exact_optimum(train, val)
     assert result.best_fitness <= optimum <= result.ceiling
+
+
+def test_ga_fitness_is_the_f_the_report_gives_its_answers():
+    rng = np.random.default_rng(22)
+    centres = {"a": [0.0, 0.0], "b": [2.0, 0.0], "c": [0.0, 2.0], "d": [2.0, 2.0]}
+    train = [(lb, make_cf(rng.normal(c, 0.6, 2))) for lb, c in centres.items() for _ in range(3)]
+    val = [(lb, make_cf(rng.normal(c, 0.9, 2))) for lb, c in centres.items() for _ in range(12)]
+    for seed in range(3):
+        params = GaParams(population=20, generations=25, seed=seed)
+        result = ga_optimize_thresholds(labeled(train), labeled(val), params)
+        assert 0 < result.best_fitness < result.ceiling < 1
+        answers, _ = nn_decide(*nn_distances(labeled(val)[1], labeled(train)), result.thresholds)
+        f = build_report(answers, [lb for lb, _ in val]).aggregate[2]
+        assert np.float64(result.best_fitness).tobytes() == np.float64(f).tobytes()
 
 
 def test_ga_params_name_the_field_they_reject():

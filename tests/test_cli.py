@@ -938,3 +938,47 @@ def test_bad_histogram_bin_is_data_error_naming_file_and_line(dataset, trained, 
                     dataset / "pipeline.cfg", "--out", out])
     assert rc == 2
     assert f"{path}:3: bin must be a finite number >= 0, got {value!r}" in capsys.readouterr().err
+
+
+def _evaluate(tmp_path, manifest_rows, prediction_rows, *flags):
+    """Exit code of `evaluate` on a written manifest and predictions.csv."""
+    man = tmp_path / "manifest.tsv"
+    man.write_text("".join(f"{line}\n" for line in ["path\tlabel\tsequence", *manifest_rows]))
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    (out / "predictions.csv").write_text(
+        "".join(f"{line}\n" for line in ["path,predicted,score", *prediction_rows]))
+    return run_stage(["evaluate", "--manifest", man, "--out", out, *flags])
+
+
+def test_evaluate_reports_a_class_answered_but_absent_from_the_held_out_rows(tmp_path):
+    manifest = ["a1.ppm\tA\t2", "a2.ppm\tA\t2", "b1.ppm\tB\t1"]
+    assert _evaluate(tmp_path, manifest, ["a1.ppm,A,1", "a2.ppm,B,1"], "--sequences", "2") == 0
+    report = tmp_path / "out" / "report"
+    assert (report / "confusion.csv").read_text().splitlines() == [
+        "true\\predicted,A,B,UNKNOWN", "A,1,1,0", "B,0,0,0"]
+    summary = (report / "summary.csv").read_text().splitlines()
+    assert summary[1:] == ["A,1.000000,0.500000,0.666667,0.500000", "B,0.000000,0.000000,0.000000,0.000000",
+                           "__aggregate__,0.500000,0.500000,0.500000,0.500000"]
+
+
+def test_repeated_prediction_path_is_data_error_naming_file_and_line(tmp_path, capsys):
+    manifest = ["p1.ppm\tA\t1", "p2.ppm\tB\t1", "p3.ppm\tB\t1"]
+    rows = ["p1.ppm,A,1", "p2.ppm,B,1", "p3.ppm,A,1"]
+    assert _evaluate(tmp_path, manifest, rows) == 0
+    assert "accuracy=0.6667" in capsys.readouterr().err
+    assert _evaluate(tmp_path, manifest, rows + ["p1.ppm,A,1", "p1.ppm,A,1"]) == 2
+    path = tmp_path / "out" / "predictions.csv"
+    assert f"{path}:5: second prediction for path 'p1.ppm'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["features", "evaluate"])
+def test_manifest_label_unknown_is_data_error_before_any_stage_runs(tmp_path, capsys, stage):
+    man = tmp_path / "manifest.tsv"
+    man.write_text("path\tlabel\tsequence\na.ppm\tA\t1\nb.ppm\tUNKNOWN\t1\n")
+    out = tmp_path / "out"
+    args = ["--config", tmp_path / "empty.cfg"] if stage == "features" else []
+    (tmp_path / "empty.cfg").write_text("")
+    assert run_stage([stage, "--manifest", man, "--out", out, *args]) == 2
+    assert f"{man}:3: label UNKNOWN is reserved for rejected answers" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,6 +9,7 @@ from placevision.evaluate import (
     confusion_matrix,
     metrics,
     pr_curve,
+    rates,
     write_report,
 )
 
@@ -46,6 +47,66 @@ def test_error_rate_complements_recall_on_random_counts():
         assert er + r == 1.0
 
 
+def scalar_metrics(relevant_retrieved, retrieved, relevant):
+    """The scalar arithmetic `metrics` was first written with."""
+    precision = relevant_retrieved / retrieved if retrieved > 0 else 0.0
+    recall = relevant_retrieved / relevant
+    f_measure = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    error_rate = (relevant - relevant_retrieved) / relevant
+    return precision, recall, f_measure, error_rate
+
+
+def test_rates_equal_the_scalar_arithmetic_bit_for_bit():
+    rng = np.random.default_rng(20)
+    relevant = rng.integers(1, 2000, 1500)
+    retrieved = rng.integers(0, 2500, 1500)
+    retrieved[:200] = 0  # nothing retrieved
+    hit = (rng.random(1500) * (np.minimum(relevant, retrieved) + 1)).astype(np.int64)
+    hit[200:300] = np.minimum(relevant, retrieved)[200:300]
+    got = rates(hit, retrieved, relevant)
+    want = np.array([scalar_metrics(*map(int, t)) for t in zip(hit, retrieved, relevant)])
+    for i in range(4):
+        assert got[i].tobytes() == want[:, i].tobytes()
+    assert [metrics(*map(int, t)) for t in zip(hit, retrieved, relevant)] == [tuple(w) for w in want.tolist()]
+
+
+def test_rates_are_zero_where_their_denominator_is():
+    p, r, f, er = rates([0, 0, 3], [0, 4, 0], [0, 0, 5])
+    assert p.tolist() == [0.0, 0.0, 0.0]
+    assert r.tolist() == [0.0, 0.0, 0.6]
+    assert f.tolist() == [0.0, 0.0, 0.0]
+    assert er.tolist() == [0.0, 0.0, 0.4]
+
+
+def test_confusion_classes_are_every_label_that_occurs():
+    truths = ["b", "b", "d"]
+    preds = ["c", UNKNOWN, "b"]
+    mat, labels = confusion_matrix(preds, truths, labels=["a", "b"])
+    assert labels == ["a", "b", "c", "d"]
+    assert mat.tolist() == [[0, 0, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
+
+
+def test_confusion_equals_a_per_row_tally():
+    rng = np.random.default_rng(21)
+    names = ["a", "b", "c", "d", UNKNOWN]
+    truths = [names[i] for i in rng.integers(0, 3, 500)]
+    preds = [names[i] for i in rng.integers(0, 5, 500)]
+    mat, labels = confusion_matrix(preds, truths)
+    assert labels == ["a", "b", "c", "d"]
+    want = np.zeros((4, 5), dtype=np.int64)
+    for p, t in zip(preds, truths):
+        want[names.index(t), names.index(p)] += 1
+    assert np.array_equal(mat, want)
+
+
+def test_report_scores_an_answer_outside_the_truths_as_wrong():
+    report = build_report(["a", "b"], ["a", "a"], labels=["a"])
+    assert report.labels == ["a", "b"]
+    assert report.per_class["b"] == (0.0, 0.0, 0.0, 0.0)
+    assert report.accuracy == 0.5
+    assert report.aggregate == (0.5, 0.5, 0.5, 0.5)
+
+
 def test_confusion_all_correct_is_diagonal():
     preds = ["a", "a", "b", "c", "c", "c"]
     mat, labels = confusion_matrix(preds, preds)
@@ -74,7 +135,7 @@ def test_confusion_validates_labels():
     with pytest.raises(ValueError):
         confusion_matrix(["a"], ["a", "b"])
     with pytest.raises(ValueError):
-        confusion_matrix(["zz"], ["a"], labels=["a"])
+        confusion_matrix(["a"], [UNKNOWN])
 
 
 def test_pr_curve_perfect_separation_pinned_at_precision_one():
@@ -106,6 +167,47 @@ def test_pr_curve_four_item_hand_example():
         (1.0, 2 / 3),
         (1.0, 0.5),
     ]
+
+
+def loop_pr_curve(scored):
+    """`pr_curve` as first written: one step per item in score order."""
+    scores = np.array([s for s, _ in scored], dtype=np.float64)
+    rel = np.array([bool(r) for _, r in scored])
+    n_relevant = int(rel.sum())
+    order = np.argsort(-scores, kind="stable")
+    points = []
+    retrieved = 0
+    hits = 0
+    sorted_scores = scores[order]
+    for idx, item in enumerate(order):
+        retrieved += 1
+        hits += bool(rel[item])
+        boundary = idx + 1 == len(order) or sorted_scores[idx + 1] != sorted_scores[idx]
+        if boundary:
+            precision = hits / retrieved
+            recall = hits / n_relevant if n_relevant else 0.0
+            points.append((recall, precision))
+    return points
+
+
+def test_pr_curve_equals_the_per_item_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in [1, 2, 5, 40, 300] * 20:
+        scores = rng.integers(0, max(2, n // 3), n) / 7.0  # ties in runs
+        rel = rng.random(n) < rng.choice([0.0, 0.3, 1.0])  # none, some or all relevant
+        scored = list(zip(scores.tolist(), rel.tolist()))
+        got, want = pr_curve(scored), loop_pr_curve(scored)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_accuracy_is_the_share_of_correct_rows_bit_for_bit():
+    rng = np.random.default_rng(24)
+    names = ["a", "b", "c", UNKNOWN]
+    for n in range(1, 200):
+        truths = [names[i] for i in rng.integers(0, 3, n)]
+        report = build_report([names[i] for i in rng.integers(0, 4, n)], truths)
+        mat = report.confusion
+        assert report.accuracy == float(np.trace(mat[:, : len(report.labels)]) / mat.sum())
 
 
 def test_pr_curve_rejects_bad_input():

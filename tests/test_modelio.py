@@ -151,7 +151,15 @@ def _nn_model():
     (_svm_model, struct.pack("<d", -0.875), _NAN, "non-finite value in model file"),  # bias
     (_nn_model, struct.pack("<d", 0.75), _NAN, "threshold for 'b' must be finite, got nan"),
     (_nn_model, struct.pack("<d", 0.375), _NAN, "non-finite value in model file"),  # gallery row
-], ids=["kernel", "support-vector", "coefficient", "bias", "threshold", "gallery-row"])
+    (_svm_model, b"rbf:1.5", b"rbf:nan", "sigma must be a finite number > 0, got nan"),
+    (_svm_model, b"rbf:1.5", b"rbf:0.0", "sigma must be a finite number > 0, got 0.0"),
+    (_svm_model, b"rbf:1.5", b"rbf:-1.", "sigma must be a finite number > 0, got -1.0"),
+    (_svm_model, b"rbf:1.5", b"rbf:1:5", "kernel 'rbf:1:5': rbf takes only sigma"),
+    (_svm_model, struct.pack("<d", 4.0), _NAN, "C must be a finite number > 0, got nan"),
+    (_svm_model, struct.pack("<d", 4.0), struct.pack("<d", 0.0), "C must be a finite number > 0, got 0.0"),
+    (_svm_model, struct.pack("<d", 4.0), struct.pack("<d", -4.0), "C must be a finite number > 0, got -4.0"),
+], ids=["kernel", "support-vector", "coefficient", "bias", "threshold", "gallery-row", "sigma-nan",
+        "sigma-zero", "sigma-negative", "kernel-parameters", "c-nan", "c-zero", "c-negative"])
 def test_bad_model_value_is_an_error_naming_the_file(tmp_path, model, old, new, message):
     path = _patched_model(tmp_path, model(), old, new)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
