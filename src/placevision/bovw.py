@@ -1,7 +1,8 @@
 """Visual vocabularies and bag-of-visual-words encoding.
 
 A vocabulary is an ordered list of k cluster centers in descriptor
-space together with the distance used to build and query it.  Images
+space together with the distance used to build and query it, and the
+record of what built it, which the pipeline writes and reads.  Images
 are encoded as the normalized histogram of nearest-word counts.
 """
 
@@ -19,7 +20,7 @@ from .histograms import FeatureHistogram
 
 DEFAULT_K = 100
 
-_VOCAB_HEADER = b"PVVC" + struct.pack("<I", 1)  # tag, format version
+_VOCAB_HEADER = b"PVVC" + struct.pack("<I", 2)  # tag, format version
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class Vocabulary:
     centers: np.ndarray  # (k, dim)
     distance_id: str = "euclidean"
     built_by: str = "kmeans"
-    seed: int = 0
+    record: str = ""  # what built it, as the pipeline writes it
     cost_history: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -180,7 +181,16 @@ def kmeans(
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             centers[empty] = x[np.argsort(-nearest)[: empty.size]]
-    return Vocabulary(centers, distance_id, "kmeans", seed, cost_history=tuple(costs))
+    return Vocabulary(centers, distance_id, "kmeans", cost_history=tuple(costs))
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of x L1-normalized: the scale an incremental vocabulary is
+    built and queried at."""
+    sums = np.abs(x).sum(axis=1)
+    if (sums <= 0).any():
+        raise ValueError("descriptors must have positive L1 norm")
+    return x / sums[:, None]
 
 
 def incremental_vocab(
@@ -192,13 +202,9 @@ def incremental_vocab(
     is within the threshold it is recognized, otherwise it becomes a new
     word.  Results depend on input order by construction.
     """
-    x = _as_matrix(descriptors)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    sums = np.abs(x).sum(axis=1)
-    if (sums <= 0).any():
-        raise ValueError("descriptors must have positive L1 norm")
-    x = x / sums[:, None]
+    x = _unit_rows(_as_matrix(descriptors))
     words = np.empty_like(x)
     words[0] = x[0]
     k = 1
@@ -206,13 +212,15 @@ def incremental_vocab(
         if pairwise_distances(distance_id, row, words[:k]).min() > threshold:
             words[k] = row
             k += 1
-    return Vocabulary(words[:k].copy(), distance_id, "incremental", 0)
+    return Vocabulary(words[:k].copy(), distance_id, "incremental")
 
 
 def quantize(descriptors, vocab: Vocabulary) -> np.ndarray:
-    """Index of each row's nearest visual word, (n,); ties break to the
-    lowest index."""
+    """Index of each row's nearest visual word, (n,), at the scale the
+    vocabulary was built at; ties break to the lowest index."""
     x = _as_matrix(descriptors)
+    if vocab.built_by == "incremental":
+        x = _unit_rows(x)
     return _distances_to(x, vocab.distance_id)(vocab.centers).argmin(axis=1)
 
 
@@ -233,15 +241,15 @@ def encode_image(descriptors, vocab: Vocabulary) -> FeatureHistogram:
 # ---------------------------------------------------------------------------
 
 def write_vocabulary(vocab: Vocabulary, path) -> None:
-    sizes = struct.pack("<IIq", vocab.k, vocab.dim, vocab.seed)
-    strings = pack_text(vocab.distance_id) + pack_text(vocab.built_by)
+    sizes = struct.pack("<II", vocab.k, vocab.dim)
+    strings = pack_text(vocab.distance_id) + pack_text(vocab.built_by) + pack_text(vocab.record)
     write_atomic(path, [_VOCAB_HEADER, sizes, strings, np.asarray(vocab.centers, dtype="<f4").tobytes()])
 
 
 def read_vocabulary(path) -> Vocabulary:
     r = Reader(path, _VOCAB_HEADER, "vocabulary")
-    k, dim, seed = r.unpack("<IIq")
-    did, built = r.text(), r.text()
+    k, dim = r.unpack("<II")
+    did, built, record = r.text(), r.text(), r.text()
     centers = r.array("<f4", k * dim).reshape(k, dim).astype(np.float64)
     r.end()
-    return r.build(Vocabulary, centers, did, built, seed)
+    return r.build(Vocabulary, centers, did, built, record)

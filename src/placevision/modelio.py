@@ -2,9 +2,9 @@
 
 One container covers both families: per-class SVM machines (support
 vectors, dual coefficients, bias, kernel spec) or a nearest-neighbor
-gallery with per-class rejection thresholds.  The file records the
-feature configuration id it was trained on; prediction on artifacts
-with a different id must be refused by the caller.
+gallery with per-class rejection thresholds.  The file holds the record
+of what the model was trained on, as the pipeline writes it; prediction
+under a different record must be refused by the caller.
 
 The NN gallery is its parts' (name, measure id, weight, dim), then one
 packed record per item: its ``<u4`` label index, then its ``<f8`` row of
@@ -23,14 +23,14 @@ from .binfile import Reader, pack_text, write_atomic
 from .classify import BinarySvm, Composite, KernelSpec, SvmModel, ThresholdSet
 from .rules import POSITIVE
 
-_MODEL_HEADER = b"PVMD" + struct.pack("<I", 1)  # tag, format version
+_MODEL_HEADER = b"PVMD" + struct.pack("<I", 2)  # tag, format version
 _KINDS = ("svm", "nn")  # kind code = index
 
 
 @dataclass
 class ClassifierModel:
     kind: str  # "svm" | "nn"
-    config_id: str
+    record: str
     labels: List[str]
     svm: Optional[SvmModel] = None
     gallery: Optional[Tuple[List[str], Composite]] = None
@@ -62,7 +62,7 @@ def _model_chunks(model: ClassifierModel):
     array of the model or one bounded block of gallery records."""
     yield _MODEL_HEADER
     yield struct.pack("<B", _KINDS.index(model.kind))
-    yield pack_text(model.config_id)
+    yield pack_text(model.record)
     yield struct.pack("<I", len(model.labels))
     yield from (pack_text(lb) for lb in model.labels)
 
@@ -102,7 +102,7 @@ def load_model(path) -> ClassifierModel:
     (kind_code,) = r.unpack("<B")
     if kind_code >= len(_KINDS):
         raise ValueError(f"{path}: unknown model kind code {kind_code}")
-    config_id = r.text()
+    record = r.text()
     (n_labels,) = r.unpack("<I")
     labels = [r.text() for _ in range(n_labels)]
 
@@ -119,7 +119,7 @@ def load_model(path) -> ClassifierModel:
             r.finite(sv, coef, bias)
             machines[lb] = BinarySvm(sv.copy(), coef.copy(), bias, spec)
         r.end()
-        return ClassifierModel("svm", config_id, labels, svm=SvmModel(labels, machines, spec, c))
+        return ClassifierModel("svm", record, labels, svm=SvmModel(labels, machines, spec, c))
 
     (n_parts,) = r.unpack("<I")
     parts = [(r.text(), r.text(), *r.unpack("<dI")) for _ in range(n_parts)]
@@ -134,4 +134,4 @@ def load_model(path) -> ClassifierModel:
     gallery = ([labels[i] for i in records["label"].tolist()], items)
     thresholds = r.build(ThresholdSet, dict(zip(labels, r.array("<f8", n_labels).tolist())))
     r.end()
-    return ClassifierModel("nn", config_id, labels, gallery=gallery, thresholds=thresholds)
+    return ClassifierModel("nn", record, labels, gallery=gallery, thresholds=thresholds)

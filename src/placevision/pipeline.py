@@ -175,37 +175,53 @@ def _vocab_distance(text: str) -> str:
     return measure
 
 
-# Every config key and what it accepts: a Rule, a tuple of choices (a dict
+# Every config key, by the stage that reads it: what the key accepts, and
+# when the stage reads it.  A key accepts a Rule, a tuple of choices (a dict
 # when each choice stands for a value), or a function from the text to the
-# value that raises ValueError.  A sift.* or ga.* key takes the rule of its
-# SiftParams or GaParams field.
-_CONFIG_KEYS = {
-    "features.parts": _part_names,
-    "rgb.bins": _bin_grid,
-    "hsv.bins": _bin_grid,
-    "rgb.measure": _measure,
-    "hsv.measure": _measure,
-    "bovw.measure": _measure,
-    "rgb.weight": NON_NEGATIVE,
-    "hsv.weight": NON_NEGATIVE,
-    "bovw.weight": NON_NEGATIVE,
-    "bovw.k": COUNT,
-    "bovw.feature": ("sift", "asift", "rgbsift"),
-    "vocab.distance": _vocab_distance,
-    "vocab.builder": ("kmeans", "incremental"),
-    "vocab.threshold": NON_NEGATIVE,
-    "vocab.max_iter": COUNT,
-    "vocab.sample_cap": COUNT,
-    "classifier.kind": ("svm", "nn"),
-    "classifier.kernel": ("linear", "rbf", "chi2"),
-    "classifier.c": POSITIVE,
-    "classifier.rbf_sigma": POSITIVE,  # or auto
-    "ga.enabled": {"0": False, "1": True, "true": True, "false": False, "yes": True, "no": False},
-    "ga.validation_fraction": Rule(float, "a number in (0, 1)", lambda v: 0 < v < 1),
-    "seed": SEED,
-    **{f"sift.{name}": rule for name, rule in SIFT_RULES.items()},
-    **{f"ga.{name}": GA_RULES[name] for name in ("population", "mutation_rate", "crossover_rate", "generations")},
+# value that raises ValueError; a sift.* or ga.* key takes the rule of its
+# SiftParams or GaParams field.  A stage reads a key whenever it runs (None)
+# or only while another key it reads has one value; a key of a part (sift.*
+# is bovw's) only while the part is listed.
+_KMEANS = ("vocab.builder", "kmeans")
+_NN = ("classifier.kind", "nn")
+_SVM = ("classifier.kind", "svm")
+_GA = ("ga.enabled", True)
+_STAGE_KEYS = {
+    "features": {
+        "features.parts": (_part_names, None),
+        "rgb.bins": (_bin_grid, None),
+        "hsv.bins": (_bin_grid, None),
+        "bovw.feature": (("sift", "asift", "rgbsift"), None),
+        **{f"sift.{name}": (rule, None) for name, rule in SIFT_RULES.items()},
+    },
+    "vocab": {
+        "vocab.distance": (_vocab_distance, None),
+        "vocab.builder": (("kmeans", "incremental"), None),
+        "vocab.sample_cap": (COUNT, None),
+        "bovw.k": (COUNT, _KMEANS),
+        "vocab.max_iter": (COUNT, _KMEANS),
+        "vocab.threshold": (NON_NEGATIVE, ("vocab.builder", "incremental")),
+        "seed": (SEED, _KMEANS),  # and whenever vocab.sample_cap draws a sample
+    },
+    "train": {
+        "classifier.kind": (("svm", "nn"), None),
+        "rgb.weight": (NON_NEGATIVE, None),
+        "hsv.weight": (NON_NEGATIVE, None),
+        "bovw.weight": (NON_NEGATIVE, None),
+        "seed": (SEED, None),
+        "rgb.measure": (_measure, _NN),
+        "hsv.measure": (_measure, _NN),
+        "bovw.measure": (_measure, _NN),
+        "classifier.kernel": (("linear", "rbf", "chi2"), _SVM),
+        "classifier.c": (POSITIVE, _SVM),
+        "classifier.rbf_sigma": (POSITIVE, ("classifier.kernel", "rbf")),  # or auto
+        "ga.enabled": ({"0": False, "1": True, "true": True, "false": False, "yes": True, "no": False}, _NN),
+        "ga.validation_fraction": (Rule(float, "a number in (0, 1)", lambda v: 0 < v < 1), _GA),
+        **{f"ga.{name}": (GA_RULES[name], _GA)
+           for name in ("population", "mutation_rate", "crossover_rate", "generations")},
+    },
 }
+_CONFIG_KEYS = {key: accepts for keys in _STAGE_KEYS.values() for key, (accepts, _) in keys.items()}
 
 # The PipelineConfig field each top-level key sets; every other key sets the
 # PartConfig, SiftParams or GaParams field named after its dot.
@@ -278,18 +294,6 @@ class PipelineConfig:
                 return p
         return None
 
-    def config_id(self) -> str:
-        bits = []
-        for p in self.parts:
-            if p.name == "bovw":
-                dim = p.k
-                extra = f":{p.feature}"
-            else:
-                dim = p.bins[0] * p.bins[1] * p.bins[2]
-                extra = ""
-            bits.append(f"{p.name}{extra}:{dim}:{p.measure}:{p.weight:.6g}")
-        return "|".join(bits)
-
 
 def _value(key: str, text: str):
     """The value of config key ``key`` set to ``text``; DataError names the key."""
@@ -358,6 +362,102 @@ def read_config(path) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
+# stage records
+# ---------------------------------------------------------------------------
+
+def _key_value(config: PipelineConfig, key: str):
+    if key == "features.parts":
+        return ",".join(p.name for p in config.parts)
+    section, _, field = _FIELDS.get(key, key).rpartition(".")
+    owner = config.part(section) if section in _PARTS else getattr(config, section) if section else config
+    return getattr(owner, field)
+
+
+def _reads(config: PipelineConfig, stage: str, key: str) -> bool:
+    """Whether ``stage`` reads ``key`` under the choices of ``config``."""
+    part = "bovw" if key.startswith("sift.") else key.partition(".")[0]
+    if part in _PARTS and config.part(part) is None:
+        return False
+    when = _STAGE_KEYS[stage][key][1]
+    return when is None or (_reads(config, stage, when[0]) and _key_value(config, when[0]) == when[1])
+
+
+def stage_record(config: PipelineConfig, stage: str, *consumed: Dict[str, str],
+                 sampled: bool = False) -> Dict[str, str]:
+    """What an artifact of ``stage`` depends on: the records of the artifacts
+    the stage consumed, then the text of each key it reads under ``config``.
+    The vocab stage reads seed also when it drew a sample (``sampled``),
+    which only the vocabulary's own record tells a later check."""
+    record = {key: value for earlier in consumed for key, value in earlier.items()}
+    for key in _STAGE_KEYS[stage]:
+        if _reads(config, stage, key) or (sampled and key == "seed"):
+            record[key] = str(_key_value(config, key))
+    return record
+
+
+def _record_text(record: Dict[str, str]) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in record.items())
+
+
+def _parse_record(text: str) -> Dict[str, str]:
+    return dict(line.partition(" = ")[::2] for line in text.splitlines())
+
+
+def check_record(path, recorded: Dict[str, str], wanted: Dict[str, str], stage: str) -> None:
+    """DataError unless the artifact at ``path`` records exactly ``wanted``;
+    it names the file, the first key that differs (a key on one side only
+    differs too) and the stage that rebuilds the artifact."""
+    for key in [*wanted, *recorded]:
+        if recorded.get(key) != wanted.get(key):
+            built, asked = (f"{key} {r[key]}" if key in r else f"no {key}" for r in (recorded, wanted))
+            raise DataError(
+                f"{path} was built with {built}, the configuration asks for {asked}; "
+                f"rerun the {stage} stage"
+            )
+
+
+def _read_record(path: Path, missing: str) -> Dict[str, str]:
+    """The record in the marker file ``path``; DataError ``missing`` without one."""
+    if not path.exists():
+        raise DataError(missing)
+    try:
+        return _parse_record(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _read_artifact(read, path, stage: str):
+    """``read(path)``; a file it cannot read, such as one of an older format,
+    is a DataError naming the stage that rewrites it."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise DataError(f"{exc}; rerun the {stage} stage") from None
+
+
+def _features_record(out_dir, config: PipelineConfig) -> Dict[str, str]:
+    """The features record, checked against features/config_id.txt."""
+    marker = Path(out_dir) / "features" / "config_id.txt"
+    recorded = _read_record(marker, f"no feature artifacts under {out_dir} (run the features stage first)")
+    record = stage_record(config, "features")
+    check_record(marker, recorded, record, "features")
+    return record
+
+
+def _consumed_records(out_dir, config: PipelineConfig) -> List[Dict[str, str]]:
+    """The records of what train and predict read, each checked: the features
+    record and, with a bovw part, the record of the vocabulary that
+    features/vocab_id.txt says the word histograms were encoded against."""
+    features = _features_record(out_dir, config)
+    if config.part("bovw") is None:
+        return [features]
+    marker = Path(out_dir) / "features" / "vocab_id.txt"
+    encoded = _read_record(marker, f"no word histograms under {out_dir} (run the encode stage first)")
+    check_record(marker, encoded, stage_record(config, "vocab", features, sampled="seed" in encoded), "encode")
+    return [features, encoded]
+
+
+# ---------------------------------------------------------------------------
 # per-image feature artifacts
 # ---------------------------------------------------------------------------
 
@@ -366,11 +466,14 @@ def artifact_stem(image_path: str) -> str:
     return f"{digest}_{Path(image_path).stem}"
 
 
+_EXTRACTION_FORMAT = 1  # raise it when extraction writes other bytes for the same inputs
+
+
 def _feature_fingerprint(image_bytes: bytes, config: PipelineConfig) -> str:
     h = hashlib.sha256()
     h.update(image_bytes)
-    h.update(config.config_id().encode())
-    h.update(repr(config.sift).encode())
+    h.update(f"extraction format {_EXTRACTION_FORMAT}\n".encode())
+    h.update(_record_text(stage_record(config, "features")).encode())
     return h.hexdigest()
 
 
@@ -433,7 +536,7 @@ def run_features(
     started = time.perf_counter()
     out = Path(out_dir) / "features"
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config_id.txt").write_text(config.config_id() + "\n")
+    (out / "config_id.txt").write_text(_record_text(stage_record(config, "features")))
     tasks = [(r.path, str(manifest.resolve(r)), str(out), config) for r in manifest.rows]
     # the pool forks every worker up front, so start no more than there are rows
     workers = min(jobs, len(tasks))
@@ -454,29 +557,6 @@ def run_features(
     return ok
 
 
-def check_record(path, recorded: dict, wanted: dict, stage: str) -> None:
-    """DataError unless the artifact at ``path`` records each value of
-    ``wanted`` under its key; it names the file, the first key that differs
-    and the stage that rebuilds the artifact."""
-    for key, value in wanted.items():
-        if recorded[key] != value:
-            raise DataError(
-                f"{path} was built with {key} {recorded[key]!r}, the configuration asks for "
-                f"{key} {value!r}; rerun the {stage} stage"
-            )
-
-
-def check_features_config(out_dir, config: PipelineConfig) -> None:
-    marker = Path(out_dir) / "features" / "config_id.txt"
-    if not marker.exists():
-        raise DataError(f"no feature artifacts under {out_dir} (run the features stage first)")
-    try:
-        found = marker.read_text(encoding="utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {marker}: {exc}") from None
-    check_record(marker, {"config id": found}, {"config id": config.config_id()}, "features")
-
-
 # ---------------------------------------------------------------------------
 # vocabulary and encoding
 # ---------------------------------------------------------------------------
@@ -490,7 +570,7 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
     part = config.part("bovw")
     if part is None:
         raise DataError("configuration has no bovw part; nothing to cluster")
-    check_features_config(out_dir, config)
+    features = _features_record(out_dir, config)
     feat_dir = Path(out_dir) / "features"
     files, counts, dim = [], [], None
     for row in manifest.rows:
@@ -535,8 +615,9 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         )
     else:
         vocab = bovw_mod.incremental_vocab(descriptors, config.vocab_threshold, config.vocab_distance)
+    record = stage_record(config, "vocab", features, sampled=keep is not None)
     path = Path(out_dir) / "vocab.bin"
-    bovw_mod.write_vocabulary(vocab, path)
+    bovw_mod.write_vocabulary(replace(vocab, record=_record_text(record)), path)
     costs = vocab.cost_history  # empty for the incremental builder
     lloyd = f", {len(costs)} Lloyd iterations, final cost {costs[-1]:.6g}" if costs else ""
     log(
@@ -547,22 +628,18 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
 
 
 def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -> int:
-    """Quantize stored descriptors into normalized word histograms."""
-    check_features_config(out_dir, config)
+    """Quantize stored descriptors into normalized word histograms, and
+    record in features/vocab_id.txt the vocabulary they were encoded against."""
+    features = _features_record(out_dir, config)
     vocab_path = Path(out_dir) / "vocab.bin"
     if not vocab_path.exists():
         raise DataError(f"missing vocabulary {vocab_path} (run the vocab stage first)")
-    vocab = bovw_mod.read_vocabulary(vocab_path)
-    part = config.part("bovw")
-    recorded = dict(distance=vocab.distance_id, builder=vocab.built_by, k=vocab.k, seed=vocab.seed)
-    wanted = dict(distance=config.vocab_distance, builder=config.vocab_builder)
-    # a k-means vocabulary has the configured k and seed (its start); an
-    # incremental one any size, and it records no seed, although a
-    # vocab.sample_cap subsample depends on it (not checked)
-    if vocab.built_by == "kmeans":
-        wanted.update(k=part.k if part else vocab.k, seed=config.seed)
-    check_record(vocab_path, recorded, wanted, "vocab")
+    vocab = _read_artifact(bovw_mod.read_vocabulary, vocab_path, "vocab")
+    recorded = _parse_record(vocab.record)
+    check_record(vocab_path, recorded, stage_record(config, "vocab", features, sampled="seed" in recorded), "vocab")
     feat_dir = Path(out_dir) / "features"
+    marker = feat_dir / "vocab_id.txt"
+    marker.unlink(missing_ok=True)  # until every histogram is rewritten
     encoded = 0
     for row in manifest.rows:
         stem = artifact_stem(row.path)
@@ -582,6 +659,7 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
         encoded += 1
     if encoded == 0:
         raise DataError("no image could be encoded against the vocabulary")
+    marker.write_text(vocab.record)
     return encoded
 
 
@@ -632,18 +710,17 @@ def _resolve_kernel(config: PipelineConfig, vectors: np.ndarray) -> KernelSpec:
 def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -> Path:
     """Train the configured classifier and write the model file."""
     started = time.perf_counter()
-    check_features_config(out_dir, config)
+    record = _record_text(stage_record(config, "train", *_consumed_records(out_dir, config)))
     rows, items = load_labeled_features(manifest, config, out_dir, log)
     labels = [row.label for row in rows]
     if len(set(labels)) < 2:
         raise DataError("training needs at least two classes")
-    config_id = config.config_id()
 
     if config.classifier == "svm":
         vectors = items.concatenated()
         spec = _resolve_kernel(config, vectors)
         svm = ova_train(vectors, labels, spec, config.svm_c)
-        model = ClassifierModel("svm", config_id, svm.labels, svm=svm)
+        model = ClassifierModel("svm", record, svm.labels, svm=svm)
     else:
         gallery = (labels, items)
         class_labels = sorted(set(labels))
@@ -667,7 +744,7 @@ def run_train(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
             log(f"GA thresholds tuned: best F={result.best_fitness:.4f}, {stop}")
         else:
             thresholds = ThresholdSet.permissive(class_labels)
-        model = ClassifierModel("nn", config_id, class_labels, gallery=gallery, thresholds=thresholds)
+        model = ClassifierModel("nn", record, class_labels, gallery=gallery, thresholds=thresholds)
 
     path = Path(out_dir) / "model.bin"
     save_model(model, path)
@@ -686,12 +763,12 @@ def run_predict(
     Output rows are (path, predicted label or UNKNOWN, score); score is
     oriented so that larger means more confident.
     """
-    check_features_config(out_dir, config)
+    consumed = _consumed_records(out_dir, config)
     model_path = Path(model_path) if model_path else Path(out_dir) / "model.bin"
     if not model_path.exists():
         raise DataError(f"missing model file {model_path}")
-    model = load_model(model_path)
-    check_record(model_path, {"config id": model.config_id}, {"config id": config.config_id()}, "train")
+    model = _read_artifact(load_model, model_path, "train")
+    check_record(model_path, _parse_record(model.record), stage_record(config, "train", *consumed), "train")
     kept, items = load_labeled_features(manifest, config, out_dir, log)
 
     if model.kind == "svm":

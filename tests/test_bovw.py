@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 import tracemalloc
 
 import numpy as np
@@ -21,11 +22,13 @@ from placevision.pipeline import (
     DataError,
     Manifest,
     ManifestRow,
+    _record_text,
     artifact_stem,
     parse_config_text,
     run_vocab,
+    stage_record,
 )
-from placevision.sift import write_descriptors
+from placevision.sift import read_descriptors, write_descriptors
 from tests.test_distances import ALL_MEASURE_IDS
 
 
@@ -292,7 +295,7 @@ def test_vocab_stage_holds_one_copy_of_the_descriptors(tmp_path):
     config = parse_config_text("features.parts = bovw\nbovw.k = 100\nvocab.max_iter = 5\n")
     feat = tmp_path / "features"
     feat.mkdir()
-    (feat / "config_id.txt").write_text(config.config_id(), encoding="utf-8")
+    (feat / "config_id.txt").write_text(_record_text(stage_record(config, "features")), encoding="utf-8")
     rng = np.random.default_rng(5)
     rows = [ManifestRow(f"img{i:02d}.png", "room", 1) for i in range(40)]
     dim = 128
@@ -351,7 +354,7 @@ def _vocab_stage_peak(tmp_path, config_text, files, rows, dim):
     config = parse_config_text(config_text)
     feat = tmp_path / "features"
     feat.mkdir()
-    (feat / "config_id.txt").write_text(config.config_id(), encoding="utf-8")
+    (feat / "config_id.txt").write_text(_record_text(stage_record(config, "features")), encoding="utf-8")
     rng = np.random.default_rng(5)
     manifest = [ManifestRow(f"img{i:02d}.png", "room", 1) for i in range(files)]
     for row in manifest:
@@ -384,7 +387,7 @@ def test_vocab_stage_refuses_descriptor_files_of_two_dimensions(tmp_path):
     config = parse_config_text("features.parts = bovw\nbovw.k = 2\n")
     feat = tmp_path / "features"
     feat.mkdir()
-    (feat / "config_id.txt").write_text(config.config_id(), encoding="utf-8")
+    (feat / "config_id.txt").write_text(_record_text(stage_record(config, "features")), encoding="utf-8")
     rows = [ManifestRow(f"img{i}.png", "room", 1) for i in range(2)]
     for row, dim in zip(rows, (128, 384)):
         write_descriptors((np.zeros((3, 4)), np.ones((3, dim))), feat / f"{artifact_stem(row.path)}.desc")
@@ -447,6 +450,22 @@ def test_incremental_rejects_empty_and_zero_rows():
         incremental_vocab(np.array([[0.0, 0.0]]), 0.5)
 
 
+@pytest.mark.parametrize("mid", ["euclidean", "minkowski:1", "chi2sym"])
+def test_incremental_word_source_descriptor_maps_to_its_word(tmp_path, mid):
+    # descriptors at SIFT scale (rows of 16 values up to 255), as the encode
+    # stage reads them from a .desc file and the vocabulary from vocab.bin
+    rng = np.random.default_rng(8)
+    write_descriptors((np.zeros((60, 4)), rng.random((60, 16)) * 255), tmp_path / "img.desc")
+    _, x = read_descriptors(tmp_path / "img.desc")
+    unit = x / np.abs(x).sum(axis=1, keepdims=True)
+    threshold = np.quantile(pairwise_distances(mid, unit, unit), 0.2)
+    built = incremental_vocab(x, threshold, mid)
+    assert 2 <= built.k <= len(x) // 2
+    write_vocabulary(built, tmp_path / "vocab.bin")
+    sources = [int(np.flatnonzero((unit == word).all(axis=1))[0]) for word in built.centers]
+    assert quantize(x[sources], read_vocabulary(tmp_path / "vocab.bin")).tolist() == list(range(built.k))
+
+
 def test_quantize_exact_center_and_tie_rule():
     centers = np.zeros((8, 2))
     centers[:, 0] = np.arange(8)
@@ -504,14 +523,14 @@ def test_bow_vector_invariant():
 
 def test_vocabulary_file_round_trip(tmp_path):
     rng = np.random.default_rng(12)
-    vocab = kmeans(rng.random((50, 16)).astype(np.float32), k=5, seed=3)
+    vocab = replace(kmeans(rng.random((50, 16)).astype(np.float32), k=5, seed=3), record="bovw.k = 5\nseed = 3\n")
     path = tmp_path / "vocab.bin"
     write_vocabulary(vocab, path)
     back = read_vocabulary(path)
     assert back.k == 5 and back.dim == 16
     assert back.distance_id == vocab.distance_id
     assert back.built_by == "kmeans"
-    assert back.seed == 3
+    assert back.record == "bovw.k = 5\nseed = 3\n"
     assert np.abs(back.centers - vocab.centers).max() < 1e-6  # f32 storage
     # identical content gives identical bytes
     write_vocabulary(vocab, tmp_path / "vocab2.bin")

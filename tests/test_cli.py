@@ -154,8 +154,8 @@ def test_config_id_mismatch_is_hard_error(dataset, tmp_path, capsys):
     rc = run_stage(["train", "--manifest", man, "--config", other_cfg, "--out", out])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"{out / 'features' / 'config_id.txt'} was built with config id " in err
-    assert "rerun the features stage" in err
+    assert (f"{out / 'features' / 'config_id.txt'} was built with features.parts rgb,hsv,bovw, "
+            "the configuration asks for features.parts rgb; rerun the features stage") in err
 
 
 def test_predict_with_mismatched_model_refused(dataset, tmp_path, capsys):
@@ -177,8 +177,8 @@ def test_predict_with_mismatched_model_refused(dataset, tmp_path, capsys):
                     "--model", out_a / "model.bin"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"{out_a / 'model.bin'} was built with config id " in err
-    assert "rerun the train stage" in err
+    assert (f"{out_a / 'model.bin'} was built with features.parts rgb,hsv,bovw, "
+            "the configuration asks for features.parts rgb; rerun the train stage") in err
 
 
 def test_nn_self_prediction_is_perfect(dataset, tmp_path):
@@ -552,8 +552,53 @@ def test_every_set_key_is_checked_whether_or_not_its_part_is_listed(line):
 def test_measure_ids_are_stored_as_the_measure_reads_them():
     config = parse_config_text("features.parts = rgb,bovw\nrgb.measure = Jeffrey\nbovw.measure = MINKOWSKI:1\n"
                                "vocab.distance = Euclidean\n")
-    assert config.config_id() == parse_config_text("features.parts = rgb,bovw\n").config_id()
+    assert config == parse_config_text("features.parts = rgb,bovw\n")
     assert config.vocab_distance == "euclidean"
+
+
+# A value other than the default for every config key, and the configurations
+# under which each is read: NN with the GA over k-means words, and an RBF SVM
+# over incremental words.
+OTHER_VALUE = {
+    "features.parts": "rgb,bovw", "rgb.bins": "4x4x4", "hsv.bins": "4x4x4", "bovw.feature": "asift",
+    "sift.octaves": "3", "sift.scales_per_octave": "3", "sift.sigma0": "1.5", "sift.contrast_threshold": "0.05",
+    "sift.edge_ratio": "8", "sift.orientation_sigma_factor": "2",
+    "vocab.distance": "minkowski:1", "vocab.builder": "incremental", "vocab.sample_cap": "100",
+    "bovw.k": "10", "vocab.max_iter": "10", "vocab.threshold": "0.4", "seed": "12",
+    "classifier.kind": "svm", "rgb.weight": "3", "hsv.weight": "3", "bovw.weight": "3",
+    "rgb.measure": "euclidean", "hsv.measure": "euclidean", "bovw.measure": "euclidean",
+    "classifier.kernel": "linear", "classifier.c": "3", "classifier.rbf_sigma": "0.5",
+    "ga.enabled": "0", "ga.validation_fraction": "0.5", "ga.population": "50", "ga.mutation_rate": "0.2",
+    "ga.crossover_rate": "0.5", "ga.generations": "10",
+}
+RECORD_BASES = ("classifier.kind = nn\nga.enabled = 1\n", "vocab.builder = incremental\n")
+
+
+def _first_stage(key):
+    """Index of the first stage that reads ``key``: features, vocab or train."""
+    if key in ("features.parts", "rgb.bins", "hsv.bins", "bovw.feature") or key.startswith("sift."):
+        return 0
+    return 1 if key in ("bovw.k", "seed") or key.startswith("vocab.") else 2
+
+
+def _stage_records(config):
+    features = pipeline.stage_record(config, "features")
+    vocab = pipeline.stage_record(config, "vocab", features)
+    return features, vocab, pipeline.stage_record(config, "train", features, vocab)
+
+
+@pytest.mark.parametrize("key", sorted(pipeline._CONFIG_KEYS))
+def test_a_key_changes_the_record_of_its_stage_and_every_later_one_only(key):
+    first, tried = _first_stage(key), 0
+    for text in RECORD_BASES:
+        base, changed = (parse_config_text(text + extra) for extra in ("", f"{key} = {OTHER_VALUE[key]}\n"))
+        before, after = _stage_records(base), _stage_records(changed)
+        if changed == base or key not in before[first]:
+            continue  # its stage does not read it under this configuration
+        assert before[:first] == after[:first], (text, key)
+        assert all(b != a for b, a in zip(before[first:], after[first:])), (text, key)
+        tried += 1
+    assert tried, key
 
 
 @pytest.mark.parametrize("which", ["config", "manifest"])
@@ -704,26 +749,37 @@ def test_predict_on_a_non_finite_gallery_is_data_error_naming_the_model(dataset,
     assert f"{path}: non-finite value in model file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change, builder, differs", [
-    ({"centers": np.eye(10, 128)}, "kmeans", "k 10, the configuration asks for k 12"),
-    ({"distance_id": "minkowski:1"}, "kmeans", "distance 'minkowski:1', the configuration asks for distance 'euclidean'"),
-    ({"built_by": "incremental"}, "kmeans", "builder 'incremental', the configuration asks for builder 'kmeans'"),
-    ({"centers": np.eye(5, 128), "built_by": "incremental"}, "incremental", None),  # any k
-], ids=["k", "distance", "builder", "incremental-any-k"])
-def test_stale_vocabulary_is_data_error_naming_it(dataset, trained, tmp_path, capsys, change, builder, differs):
-    from placevision.bovw import read_vocabulary, write_vocabulary
+INCREMENTAL = "vocab.builder = incremental\n"
 
+
+@pytest.mark.parametrize("built, asked, differs", [
+    ("bovw.k = 10\n", "", "bovw.k 10, the configuration asks for bovw.k 12"),
+    ("vocab.distance = minkowski:1\n", "",
+     "vocab.distance minkowski:1, the configuration asks for vocab.distance euclidean"),
+    (INCREMENTAL, "", "vocab.builder incremental, the configuration asks for vocab.builder kmeans"),
+    (INCREMENTAL + "bovw.k = 10\n", INCREMENTAL, None),  # any k
+    ("", "vocab.max_iter = 10\n", "vocab.max_iter 15, the configuration asks for vocab.max_iter 10"),
+    ("", "vocab.sample_cap = 100\n", "vocab.sample_cap 200000, the configuration asks for vocab.sample_cap 100"),
+    (INCREMENTAL, INCREMENTAL + "vocab.threshold = 0.4\n",
+     "vocab.threshold 0.5, the configuration asks for vocab.threshold 0.4"),
+    # a sample of 100 of the descriptors, drawn from the seed
+    (INCREMENTAL + "vocab.sample_cap = 100\nseed = 12\n", INCREMENTAL + "vocab.sample_cap = 100\n",
+     "seed 12, the configuration asks for seed 5"),
+], ids=["k", "distance", "builder", "incremental-any-k", "max_iter", "sample_cap", "threshold",
+        "sampled-incremental-seed"])
+def test_stale_vocabulary_is_data_error_naming_it(dataset, trained, tmp_path, capsys, built, asked, differs):
     out = tmp_path / "out"
     shutil.copytree(trained, out)
-    path = out / "vocab.bin"
-    write_vocabulary(replace(read_vocabulary(path), **change), path)
-    cfg = tmp_path / "pipeline.cfg"
-    cfg.write_text(CONFIG + f"vocab.builder = {builder}\n")
+    man = dataset / "manifest.tsv"
+    for name, lines in (("built", built), ("asked", asked)):
+        (tmp_path / f"{name}.cfg").write_text(CONFIG + lines)
+    assert run_stage(["vocab", "--manifest", man, "--config", tmp_path / "built.cfg", "--out", out,
+                      "--sequences", "1,3"]) == 0
     capsys.readouterr()
-    assert run_stage(["encode", "--manifest", dataset / "manifest.tsv", "--config", cfg,
+    assert run_stage(["encode", "--manifest", man, "--config", tmp_path / "asked.cfg",
                       "--out", out]) == (2 if differs else 0)
     if differs:
-        assert f"{path} was built with {differs}; rerun the vocab stage" in capsys.readouterr().err
+        assert f"{out / 'vocab.bin'} was built with {differs}; rerun the vocab stage" in capsys.readouterr().err
 
 
 def test_vocabulary_of_another_descriptor_dimension_is_data_error(dataset, trained, tmp_path, capsys):
@@ -755,16 +811,79 @@ def test_kmeans_vocabulary_of_another_seed_is_data_error_naming_it(dataset, trai
 
 
 def test_incremental_vocabulary_of_any_seed_is_accepted(dataset, trained, tmp_path):
-    from placevision.bovw import read_vocabulary, write_vocabulary
-
     out = tmp_path / "out"
     shutil.copytree(trained, out)
-    path = out / "vocab.bin"
-    write_vocabulary(replace(read_vocabulary(path), built_by="incremental", seed=12), path)
     cfg = tmp_path / "pipeline.cfg"
-    cfg.write_text(CONFIG + "vocab.builder = incremental\n")
-    assert run_stage(["encode", "--manifest", dataset / "manifest.tsv", "--config", cfg,
-                      "--out", out]) == 0
+    cfg.write_text(CONFIG + INCREMENTAL)
+    args = ["--manifest", dataset / "manifest.tsv", "--config", cfg, "--out", out]
+    # every descriptor is kept, so the builder draws nothing from the seed
+    assert run_stage(["vocab", *args, "--seed", "12"]) == 0
+    assert run_stage(["encode", *args]) == 0
+
+
+@pytest.mark.parametrize("rerun, then, seed, artifact, differs, stage", [
+    (["vocab", "encode"], "predict", 5, "features/vocab_id.txt", "seed 12, the configuration asks for seed 5",
+     "encode"),
+    (["vocab", "encode"], "predict", 12, "model.bin", "seed 5, the configuration asks for seed 12", "train"),
+    (["vocab"], "train", 12, "features/vocab_id.txt", "seed 5, the configuration asks for seed 12", "encode"),
+], ids=["old-model-at-old-seed", "old-model-at-new-seed", "train-before-encode"])
+def test_stage_after_a_new_vocabulary_refuses_what_was_not_rebuilt(dataset, trained, tmp_path, capsys,
+                                                                  rerun, then, seed, artifact, differs, stage):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    args = ["--manifest", dataset / "manifest.tsv", "--config", dataset / "pipeline.cfg", "--out", out]
+    for name in rerun:
+        assert run_stage([name, *args, "--seed", 12]) == 0
+    capsys.readouterr()
+    assert run_stage([then, *args, "--seed", seed]) == 2
+    assert f"{out / artifact} was built with {differs}; rerun the {stage} stage" in capsys.readouterr().err
+
+
+def test_vocab_after_a_sift_change_asks_for_the_features_stage(dataset, trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(CONFIG + "sift.contrast_threshold = 0.2\n")
+    capsys.readouterr()
+    assert run_stage(["vocab", "--manifest", dataset / "manifest.tsv", "--config", cfg, "--out", out]) == 2
+    assert (f"{out / 'features' / 'config_id.txt'} was built with sift.contrast_threshold 0.03, the "
+            "configuration asks for sift.contrast_threshold 0.2; rerun the features stage") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["bovw.k = 10", "rgb.measure = euclidean", "hsv.weight = 3"])
+def test_a_key_extraction_does_not_read_needs_no_features_rerun(dataset, trained, tmp_path, line):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(CONFIG + line + "\n")
+    stamps = {p: p.stat().st_mtime_ns for p in (out / "features").glob("*.desc")}
+    args = ["--manifest", dataset / "manifest.tsv", "--config", cfg, "--out", out]
+    for stage, *extra in (["vocab", "--sequences", "1,3"], ["encode"], ["train", "--sequences", "1,3"],
+                          ["predict", "--sequences", "2"], ["features"]):
+        assert run_stage([stage, *args, *extra]) == 0, stage
+    assert {p: p.stat().st_mtime_ns for p in stamps} == stamps
+
+
+@pytest.mark.parametrize("artifact, stage, message", [
+    ("vocab.bin", "encode", "{path}: not a vocabulary file of this format version; rerun the vocab stage"),
+    ("model.bin", "predict", "{path}: not a model file of this format version; rerun the train stage"),
+    ("features/config_id.txt", "vocab", "{path} was built with no features.parts, the configuration asks for "
+                                        "features.parts rgb,hsv,bovw; rerun the features stage"),
+], ids=["vocab", "model", "features"])
+def test_artifact_of_an_older_format_is_data_error_naming_the_stage(dataset, trained, tmp_path, capsys,
+                                                                    artifact, stage, message):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / artifact
+    data = path.read_bytes()
+    if path.suffix == ".bin":
+        path.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])  # format version 1
+    else:  # the configuration id that extraction wrote before it wrote records
+        path.write_text("rgb:1000:jeffrey:0.333333|hsv:1800:bhattacharyya:0.333333|bovw:sift:12:minkowski:1:0.333333\n")
+    capsys.readouterr()
+    assert run_stage([stage, "--manifest", dataset / "manifest.tsv", "--config", dataset / "pipeline.cfg",
+                      "--out", out]) == 2
+    assert capsys.readouterr().err == f"data error: {message.format(path=path)}\n"
 
 
 def test_histogram_of_another_width_is_data_error_naming_both_files(dataset, trained, tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from placevision import distances, pipeline
-from placevision.bovw import incremental_vocab, kmeans, quantize
+from placevision.bovw import kmeans
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,7 +83,8 @@ def test_every_choice_of_every_config_key_is_in_some_run(digests):
 def test_runs_of_a_group_share_its_feature_configuration(digests):
     for group, name, text in digests.runs():
         base = digests.GROUPS[group][1]
-        assert pipeline.parse_config_text(text).config_id() == pipeline.parse_config_text(base).config_id(), name
+        features = pipeline.stage_record(pipeline.parse_config_text(text), "features")
+        assert features == pipeline.stage_record(pipeline.parse_config_text(base), "features"), name
     cap = pipeline.parse_config_text(dict((n, t) for _, n, t in digests.runs())["sift/svm-linear-cap1500"])
     assert cap.vocab_sample_cap == 1500
 
@@ -103,8 +104,6 @@ def test_measures_left_out_as_vocab_distance_refuse_raw_descriptors(measure_id):
     x = np.random.default_rng(3).random((60, 8))  # positive rows, L1 norms about 4
     with pytest.raises(ValueError):
         kmeans(x, k=4, distance_id=measure_id, seed=1)
-    with pytest.raises(ValueError):
-        quantize(x, incremental_vocab(x, threshold=0.1, distance_id=measure_id))
 
 
 def test_one_run_prints_its_tree_digest(digests, tmp_path):

@@ -25,7 +25,7 @@ def test_svm_model_round_trip(tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert back.kind == "svm"
-    assert back.config_id == model.config_id
+    assert back.record == model.record
     assert back.labels == ["down", "up"]
     assert back.svm.kernel_spec == svm.kernel_spec
     assert back.svm.c == 4.0
@@ -104,7 +104,7 @@ def test_model_file_rejects_unknown_kind_code(tmp_path):
 
 def test_model_file_rejects_out_of_range_gallery_label(tmp_path):
     data, model = _nn_model_bytes(tmp_path)
-    texts = [model.config_id, *model.labels, "rgb", "jeffrey"]
+    texts = [model.record, *model.labels, "rgb", "jeffrey"]
     # magic, version, kind, the texts, n_labels, n_parts, weight+dim, n_items
     first_index = 4 + 5 + sum(4 + len(t) for t in texts) + 4 + 4 + 12 + 4
     assert data[first_index : first_index + 4] == struct.pack("<I", 0)
@@ -170,7 +170,7 @@ def _per_row_nn_bytes(model):
     """model.bin of an NN model as written one gallery row at a time: the
     reference layout the packed gallery records must keep."""
     labels, items = model.gallery
-    chunks = [_MODEL_HEADER, struct.pack("<B", 1), pack_text(model.config_id)]
+    chunks = [_MODEL_HEADER, struct.pack("<B", 1), pack_text(model.record)]
     chunks.append(struct.pack("<I", len(model.labels)))
     chunks.extend(pack_text(lb) for lb in model.labels)
     chunks.append(struct.pack("<I", len(items.parts)))

@@ -60,11 +60,10 @@ NN_GA = "classifier.kind = nn\nga.enabled = 1\n"
 
 # group -> ((images per room, dataset seed), feature configuration,
 #           {run: configuration lines added to the group's})
-# A run's lines leave the features' configuration id alone, so its cache
-# holds.  No run takes kl, bhattacharyya, match or emd as vocab.distance:
-# descriptors are not L1-normalized, so the first three are a data error of
-# the vocab or encode stage, and emd solves a transportation problem for
-# every descriptor-word pair.
+# A run's lines leave the group's features record alone, so its cache
+# holds.  No run takes kl, bhattacharyya, match or emd as vocab.distance,
+# which the configuration refuses: they compare only rows of one total mass,
+# and k-means clusters raw descriptors.
 GROUPS = {
     "sift": ((9, 11), CRITERION_10, {
         "criterion10-svm": "classifier.kind = svm\n",
