@@ -52,6 +52,13 @@ class Reader:
             raise ValueError(f"{self.path}: bad record layout in {self.what} file") from None
         return np.frombuffer(self.data, dt, count, self._take(dt.itemsize * count))
 
+    def align(self) -> None:
+        """Skip the zero bytes that start the next array at a multiple of 8
+        bytes of the file, and so of ``data``, whose buffer CPython aligns."""
+        start = self._take(-self.pos % 8)
+        if any(self.data[start : self.pos]):
+            raise ValueError(f"{self.path}: bad padding in {self.what} file")
+
     def build(self, make, *args):
         """``make(*args)``, a ValueError from it naming this file."""
         try:
@@ -60,8 +67,9 @@ class Reader:
             raise ValueError(f"{self.path}: {exc}") from None
 
     def finite(self, *values) -> None:
-        """Refuse the file unless every number in ``values`` is finite."""
-        if not all(np.isfinite(v).all() for v in values):
+        """Refuse the file unless every number in ``values`` is finite: the
+        min or max of an array holds any NaN or infinity in it, without a mask."""
+        if not all(np.isfinite([np.min(v, initial=0.0), np.max(v, initial=0.0)]).all() for v in values):
             raise ValueError(f"{self.path}: non-finite value in {self.what} file")
 
     def end(self, following: int = 0) -> None:

@@ -81,13 +81,12 @@ def gram_matrix(xa: np.ndarray, xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
     raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
 
-def median_heuristic_sigma(x: np.ndarray, seed: int = 0) -> float:
-    """Median pairwise Euclidean distance over a seeded subsample of at most
-    _SIGMA_ROWS rows."""
+def median_heuristic_sigma(x: np.ndarray) -> float:
+    """Median pairwise Euclidean distance over at most _SIGMA_ROWS rows of x,
+    the evenly spaced rows ``np.arange(_SIGMA_ROWS) * n // _SIGMA_ROWS``."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    rng = np.random.default_rng(seed)
     if x.shape[0] > _SIGMA_ROWS:
-        x = x[rng.choice(x.shape[0], size=_SIGMA_ROWS, replace=False)]
+        x = x[np.arange(_SIGMA_ROWS) * x.shape[0] // _SIGMA_ROWS]
     d = np.sqrt(sq_euclidean_gram(x, x))
     vals = d[np.triu_indices(d.shape[0], k=1)]
     med = float(np.median(vals)) if vals.size else 1.0

@@ -7,15 +7,16 @@ of what the model was trained on, as the pipeline writes it; prediction
 under a different record must be refused by the caller.
 
 The NN gallery is its parts' (name, measure id, weight, dim), then one
-packed record per item: its ``<u4`` label index, then its ``<f8`` row of
-each part.
+``<u4`` label index per item, then one ``<f8`` (items, dim) matrix per part.
+Zero bytes start each of these arrays at a multiple of 8 bytes, so the
+loaded gallery is aligned views of the file's bytes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .binfile import Reader, pack_text, write_atomic
 from .classify import BinarySvm, Composite, KernelSpec, SvmModel, ThresholdSet
 from .rules import POSITIVE
 
-_MODEL_HEADER = b"PVMD" + struct.pack("<I", 2)  # tag, format version
+_MODEL_HEADER = b"PVMD" + struct.pack("<I", 3)  # tag, format version
 _KINDS = ("svm", "nn")  # kind code = index
 
 
@@ -49,24 +50,13 @@ def _f64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype="<f8")
 
 
-def _gallery_record(dims: Sequence[int]) -> list:
-    """The dtype spec of one gallery item: label index, then each part's row."""
-    return [("label", "<u4"), *((f"p{i}", "<f8", (d,)) for i, d in enumerate(dims))]
-
-
-_BLOCK_BYTES = 1 << 18  # gallery records packed at a time
-
-
 def _model_chunks(model: ClassifierModel):
     """The bytes of model.bin, chunk by chunk: no chunk holds more than one
-    array of the model or one bounded block of gallery records."""
-    yield _MODEL_HEADER
-    yield struct.pack("<B", _KINDS.index(model.kind))
-    yield pack_text(model.record)
-    yield struct.pack("<I", len(model.labels))
-    yield from (pack_text(lb) for lb in model.labels)
-
+    array of the model, which it is written from without a copy."""
+    head = [_MODEL_HEADER, struct.pack("<B", _KINDS.index(model.kind)), pack_text(model.record),
+            struct.pack("<I", len(model.labels)), *map(pack_text, model.labels)]
     if model.kind == "svm":
+        yield from head
         svm = model.svm
         yield pack_text(svm.kernel_spec.id_string())
         yield struct.pack("<d", svm.c)
@@ -78,18 +68,14 @@ def _model_chunks(model: ClassifierModel):
             yield _f64(m.dual_coef)
         return
     labels, items = model.gallery
-    yield struct.pack("<I", len(items.parts))
+    head.append(struct.pack("<I", len(items.parts)))
     for (name, measure, weight), m in zip(items.parts, items.matrices):
-        yield from (pack_text(name), pack_text(measure), struct.pack("<dI", weight, m.shape[1]))
-    record = np.dtype(_gallery_record([m.shape[1] for m in items.matrices]))
-    yield struct.pack("<I", len(items))
-    rows = max(1, _BLOCK_BYTES // record.itemsize)
-    for start in range(0, len(items), rows):
-        block = np.empty(min(rows, len(items) - start), record)
-        block["label"] = [model.labels.index(lb) for lb in labels[start : start + rows]]
-        for i, m in enumerate(items.matrices):
-            block[f"p{i}"] = m[start : start + rows]
-        yield block
+        head += [pack_text(name), pack_text(measure), struct.pack("<dI", weight, m.shape[1])]
+    head.append(struct.pack("<I", len(items)))
+    position = {lb: i for i, lb in enumerate(model.labels)}
+    index = np.array([position[lb] for lb in labels], "<u4")
+    yield from (*head, bytes(-sum(map(len, head)) % 8), index, bytes(-index.nbytes % 8))
+    yield from (_f64(m) for m in items.matrices)
     yield _f64(np.array([model.thresholds.by_label[lb] for lb in model.labels]))
 
 
@@ -124,14 +110,17 @@ def load_model(path) -> ClassifierModel:
     (n_parts,) = r.unpack("<I")
     parts = [(r.text(), r.text(), *r.unpack("<dI")) for _ in range(n_parts)]
     (n_items,) = r.unpack("<I")
-    records = r.array(_gallery_record([dim for *_, dim in parts]), n_items)
-    bad = np.flatnonzero(records["label"] >= n_labels)
+    r.align()
+    index = r.array("<u4", n_items)
+    bad = np.flatnonzero(index >= n_labels)
     if bad.size:
-        raise ValueError(f"{path}: gallery label index {records['label'][bad[0]]} out of range")
-    matrices = [records[f"p{i}"] for i in range(n_parts)]
+        raise ValueError(f"{path}: gallery label index {index[bad[0]]} out of range")
+    r.align()
+    # read-only aligned views of the file's bytes, which Composite freezes in place
+    matrices = [r.array("<f8", n_items * dim).reshape(n_items, dim) for *_, dim in parts]
     r.finite(*matrices)
     items = r.build(Composite, [part[:3] for part in parts], matrices)
-    gallery = ([labels[i] for i in records["label"].tolist()], items)
+    gallery = ([labels[i] for i in index.tolist()], items)
     thresholds = r.build(ThresholdSet, dict(zip(labels, r.array("<f8", n_labels).tolist())))
     r.end()
     return ClassifierModel("nn", record, labels, gallery=gallery, thresholds=thresholds)

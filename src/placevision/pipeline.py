@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import bovw as bovw_mod
 from .asift import extract_asift
+from .binfile import write_atomic
 from .classify import (
     Composite,
     GA_RULES,
@@ -201,14 +203,14 @@ _STAGE_KEYS = {
         "bovw.k": (COUNT, _KMEANS),
         "vocab.max_iter": (COUNT, _KMEANS),
         "vocab.threshold": (NON_NEGATIVE, ("vocab.builder", "incremental")),
-        "seed": (SEED, _KMEANS),  # and whenever vocab.sample_cap draws a sample
+        "seed": (SEED, _KMEANS),
     },
     "train": {
         "classifier.kind": (("svm", "nn"), None),
         "rgb.weight": (NON_NEGATIVE, None),
         "hsv.weight": (NON_NEGATIVE, None),
         "bovw.weight": (NON_NEGATIVE, None),
-        "seed": (SEED, None),
+        "seed": (SEED, _GA),
         "rgb.measure": (_measure, _NN),
         "hsv.measure": (_measure, _NN),
         "bovw.measure": (_measure, _NN),
@@ -382,15 +384,12 @@ def _reads(config: PipelineConfig, stage: str, key: str) -> bool:
     return when is None or (_reads(config, stage, when[0]) and _key_value(config, when[0]) == when[1])
 
 
-def stage_record(config: PipelineConfig, stage: str, *consumed: Dict[str, str],
-                 sampled: bool = False) -> Dict[str, str]:
+def stage_record(config: PipelineConfig, stage: str, *consumed: Dict[str, str]) -> Dict[str, str]:
     """What an artifact of ``stage`` depends on: the records of the artifacts
-    the stage consumed, then the text of each key it reads under ``config``.
-    The vocab stage reads seed also when it drew a sample (``sampled``),
-    which only the vocabulary's own record tells a later check."""
+    the stage consumed, then the text of each key it reads under ``config``."""
     record = {key: value for earlier in consumed for key, value in earlier.items()}
     for key in _STAGE_KEYS[stage]:
-        if _reads(config, stage, key) or (sampled and key == "seed"):
+        if _reads(config, stage, key):
             record[key] = str(_key_value(config, key))
     return record
 
@@ -453,7 +452,7 @@ def _consumed_records(out_dir, config: PipelineConfig) -> List[Dict[str, str]]:
         return [features]
     marker = Path(out_dir) / "features" / "vocab_id.txt"
     encoded = _read_record(marker, f"no word histograms under {out_dir} (run the encode stage first)")
-    check_record(marker, encoded, stage_record(config, "vocab", features, sampled="seed" in encoded), "encode")
+    check_record(marker, encoded, stage_record(config, "vocab", features), "encode")
     return [features, encoded]
 
 
@@ -469,11 +468,10 @@ def artifact_stem(image_path: str) -> str:
 _EXTRACTION_FORMAT = 1  # raise it when extraction writes other bytes for the same inputs
 
 
-def _feature_fingerprint(image_bytes: bytes, config: PipelineConfig) -> str:
+def _feature_fingerprint(image_bytes: bytes) -> str:
     h = hashlib.sha256()
     h.update(image_bytes)
     h.update(f"extraction format {_EXTRACTION_FORMAT}\n".encode())
-    h.update(_record_text(stage_record(config, "features")).encode())
     return h.hexdigest()
 
 
@@ -495,7 +493,7 @@ def _extract_one(args) -> Tuple[str, Optional[str]]:
     stem = artifact_stem(image_path)
     try:
         blob = Path(resolved).read_bytes()
-        fingerprint = _feature_fingerprint(blob, config)
+        fingerprint = _feature_fingerprint(blob)
         hash_file = out / f"{stem}.hash"
         if hash_file.exists() and hash_file.read_text() == fingerprint:
             return image_path, None  # cached, inputs unchanged
@@ -528,15 +526,19 @@ def run_features(
     jobs: int = 1,
     log=print,
 ) -> List[str]:
-    """Extract configured parts for every manifest row.
-
-    Unreadable images are skipped with a warning; it is an error when no
-    image succeeds.  Returns the image paths that produced artifacts.
-    """
+    """Extract configured parts for every manifest row into features/, which
+    holds one features record: a run under another, or with no config_id.txt,
+    first empties it.  Unreadable images are skipped with a warning; it is
+    an error when no image succeeds.  Returns the image paths that produced
+    artifacts."""
     started = time.perf_counter()
     out = Path(out_dir) / "features"
+    marker = out / "config_id.txt"
+    record = _record_text(stage_record(config, "features")).encode()
+    if out.exists() and not (marker.exists() and marker.read_bytes() == record):
+        log(f"features: no {marker} of this configuration; emptying {out}")
+        shutil.rmtree(out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config_id.txt").write_text(_record_text(stage_record(config, "features")))
     tasks = [(r.path, str(manifest.resolve(r)), str(out), config) for r in manifest.rows]
     # the pool forks every worker up front, so start no more than there are rows
     workers = min(jobs, len(tasks))
@@ -553,6 +555,7 @@ def run_features(
             log(f"warning: skipping {path}: {warning}")
     if not ok:
         raise DataError("feature extraction failed for every manifest row")
+    write_atomic(marker, [record])
     log(f"features: {len(ok)}/{len(tasks)} images in {time.perf_counter() - started:.1f}s")
     return ok
 
@@ -562,10 +565,10 @@ def run_features(
 # ---------------------------------------------------------------------------
 
 def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -> Path:
-    """Build the visual vocabulary from the stored descriptors.
-
-    Wall-clock time is logged for vocabulary-size studies, never asserted.
-    """
+    """Build the visual vocabulary from the stored descriptors: all of them,
+    or over vocab.sample_cap the evenly spaced rows ``np.arange(cap) * total
+    // cap``.  A row without descriptors is skipped with a warning.
+    Wall-clock time is logged for vocabulary-size studies, never asserted."""
     started = time.perf_counter()
     part = config.part("bovw")
     if part is None:
@@ -576,9 +579,11 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
     for row in manifest.rows:
         desc_file = feat_dir / f"{artifact_stem(row.path)}.desc"
         if not desc_file.exists():
+            log(f"warning: missing descriptors for {row.path}: {desc_file}")
             continue
         count, file_dim = read_descriptor_shape(desc_file)
         if not count:
+            log(f"warning: no descriptors for {row.path}: {desc_file}")
             continue
         if files and file_dim != dim:
             raise DataError(
@@ -590,13 +595,10 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         dim = file_dim
     if not files:
         raise DataError("no descriptors found; did the features stage run?")
-    # the one matrix held while clustering: every row, or a seeded sample of
-    # vocab.sample_cap rows kept in input order; each file's rows go straight in
-    total = sum(counts)
-    keep = None
-    if total > config.vocab_sample_cap:
-        rng = np.random.default_rng(config.seed)
-        keep = np.sort(rng.choice(total, size=config.vocab_sample_cap, replace=False))
+    # the one matrix held while clustering: every row, or the kept rows; each
+    # file's rows go straight in
+    total, cap = sum(counts), config.vocab_sample_cap
+    keep = np.arange(cap) * total // cap if total > cap else None
     descriptors = np.empty((total if keep is None else keep.size, dim))
     start = filled = 0
     for desc_file, count in zip(files, counts):
@@ -615,7 +617,7 @@ def run_vocab(manifest: Manifest, config: PipelineConfig, out_dir, log=print) ->
         )
     else:
         vocab = bovw_mod.incremental_vocab(descriptors, config.vocab_threshold, config.vocab_distance)
-    record = stage_record(config, "vocab", features, sampled=keep is not None)
+    record = stage_record(config, "vocab", features)
     path = Path(out_dir) / "vocab.bin"
     bovw_mod.write_vocabulary(replace(vocab, record=_record_text(record)), path)
     costs = vocab.cost_history  # empty for the incremental builder
@@ -635,8 +637,7 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
     if not vocab_path.exists():
         raise DataError(f"missing vocabulary {vocab_path} (run the vocab stage first)")
     vocab = _read_artifact(bovw_mod.read_vocabulary, vocab_path, "vocab")
-    recorded = _parse_record(vocab.record)
-    check_record(vocab_path, recorded, stage_record(config, "vocab", features, sampled="seed" in recorded), "vocab")
+    check_record(vocab_path, _parse_record(vocab.record), stage_record(config, "vocab", features), "vocab")
     feat_dir = Path(out_dir) / "features"
     marker = feat_dir / "vocab_id.txt"
     marker.unlink(missing_ok=True)  # until every histogram is rewritten
@@ -645,10 +646,11 @@ def run_encode(manifest: Manifest, config: PipelineConfig, out_dir, log=print) -
         stem = artifact_stem(row.path)
         desc_file = feat_dir / f"{stem}.desc"
         if not desc_file.exists():
+            log(f"warning: missing descriptors for {row.path}: {desc_file}")
             continue
         _, values = read_descriptors(desc_file)
         if not len(values):
-            log(f"warning: {row.path}: no descriptors, image has no bovw part")
+            log(f"warning: no descriptors for {row.path}: {desc_file}")
             continue
         if values.shape[1] != vocab.dim:
             raise DataError(
@@ -703,7 +705,7 @@ def _resolve_kernel(config: PipelineConfig, vectors: np.ndarray) -> KernelSpec:
         return KernelSpec(config.kernel)
     sigma = config.kernel_sigma
     if sigma is None:
-        sigma = median_heuristic_sigma(vectors, seed=config.seed)
+        sigma = median_heuristic_sigma(vectors)
     return KernelSpec("rbf", sigma=sigma)
 
 

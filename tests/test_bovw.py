@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placevision import bovw
 from placevision.bovw import (
@@ -313,6 +315,35 @@ def test_vocab_stage_holds_one_copy_of_the_descriptors(tmp_path):
     # the stacked matrix, the per-file records it was stacked from, one
     # (n, k) distance buffer: all three at once bound what the stage holds
     assert peak < matrix + stack + buffer, (peak, matrix)
+
+
+@settings(max_examples=15, deadline=None)
+@given(counts=st.lists(st.integers(0, 400), min_size=1, max_size=8).filter(lambda c: sum(c) < 1500),
+       cap=st.integers(1, 1499), seeds=st.lists(st.integers(0, 99), min_size=2, max_size=2))
+def test_vocab_sample_is_the_evenly_spaced_rows_whatever_the_seed(tmp_path_factory, counts, cap, seeds):
+    """1,500 descriptors over files of any sizes: over vocab.sample_cap, the
+    vocab stage clusters rows ``np.arange(cap) * 1500 // cap``, at any seed."""
+    out = tmp_path_factory.mktemp("sample")
+    (out / "features").mkdir()
+    counts = [*counts, 1500 - sum(counts)]
+    rows = [ManifestRow(f"img{i:02d}.png", "room", 1) for i in range(len(counts))]
+    values = np.random.default_rng(cap).random((1500, 8)).astype("<f4")
+    for row, lo, hi in zip(rows, np.cumsum([0, *counts[:-1]]), np.cumsum(counts)):
+        write_descriptors((np.zeros((hi - lo, 4)), values[lo:hi]), out / "features" / f"{artifact_stem(row.path)}.desc")
+    text = f"features.parts = bovw\nbovw.k = 1\nvocab.max_iter = 1\nvocab.sample_cap = {cap}\n"
+    (out / "features" / "config_id.txt").write_text(_record_text(stage_record(parse_config_text(text), "features")))
+    clustered = []
+
+    def recording_kmeans(x, *args):
+        clustered.append(x.copy())
+        return kmeans(x, *args)
+
+    for seed in seeds:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bovw, "kmeans", recording_kmeans)
+            run_vocab(Manifest(rows, out), parse_config_text(text + f"seed = {seed}\n"), out, log=lambda msg: None)
+    expected = values[np.arange(cap) * 1500 // cap].astype(np.float64)
+    assert len(clustered) == 2 and all(np.array_equal(x, expected) for x in clustered), cap
 
 
 BLOCK_ALLOWANCE = 2 << 20  # bytes beside the arrays a stage needs, at any n

@@ -104,6 +104,20 @@ def test_median_heuristic_positive():
     assert median_heuristic_sigma(rng.random((40, 3))) > 0
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), dim=st.integers(1, 8),
+       config_seeds=st.lists(st.integers(0, 99), min_size=2, max_size=2))
+def test_median_heuristic_over_1500_rows_takes_the_evenly_spaced_rows_whatever_the_seed(seed, dim, config_seeds):
+    from placevision.pipeline import _resolve_kernel, parse_config_text
+
+    x = np.random.default_rng(seed).random((1500, dim))
+    sigma = median_heuristic_sigma(x)
+    assert sigma == median_heuristic_sigma(x[np.arange(1000) * 1500 // 1000])
+    for config_seed in config_seeds:
+        config = parse_config_text(f"classifier.rbf_sigma = auto\nseed = {config_seed}\n")
+        assert _resolve_kernel(config, x).sigma == sigma
+
+
 # ---------------------------------------------------------------------------
 # binary SVM
 # ---------------------------------------------------------------------------

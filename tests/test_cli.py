@@ -762,9 +762,8 @@ INCREMENTAL = "vocab.builder = incremental\n"
     ("", "vocab.sample_cap = 100\n", "vocab.sample_cap 200000, the configuration asks for vocab.sample_cap 100"),
     (INCREMENTAL, INCREMENTAL + "vocab.threshold = 0.4\n",
      "vocab.threshold 0.5, the configuration asks for vocab.threshold 0.4"),
-    # a sample of 100 of the descriptors, drawn from the seed
-    (INCREMENTAL + "vocab.sample_cap = 100\nseed = 12\n", INCREMENTAL + "vocab.sample_cap = 100\n",
-     "seed 12, the configuration asks for seed 5"),
+    # a sample of 100 evenly spaced descriptors draws nothing from the seed
+    (INCREMENTAL + "vocab.sample_cap = 100\nseed = 12\n", INCREMENTAL + "vocab.sample_cap = 100\n", None),
 ], ids=["k", "distance", "builder", "incremental-any-k", "max_iter", "sample_cap", "threshold",
         "sampled-incremental-seed"])
 def test_stale_vocabulary_is_data_error_naming_it(dataset, trained, tmp_path, capsys, built, asked, differs):
@@ -850,7 +849,7 @@ def test_vocab_after_a_sift_change_asks_for_the_features_stage(dataset, trained,
             "configuration asks for sift.contrast_threshold 0.2; rerun the features stage") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["bovw.k = 10", "rgb.measure = euclidean", "hsv.weight = 3"])
+@pytest.mark.parametrize("line", ["bovw.k = 10", "rgb.measure = euclidean", "hsv.weight = 3", "seed = 12"])
 def test_a_key_extraction_does_not_read_needs_no_features_rerun(dataset, trained, tmp_path, line):
     out = tmp_path / "out"
     shutil.copytree(trained, out)
@@ -1101,3 +1100,94 @@ def test_manifest_label_unknown_is_data_error_before_any_stage_runs(tmp_path, ca
     assert run_stage([stage, "--manifest", man, "--out", out, *args]) == 2
     assert f"{man}:3: label UNKNOWN is reserved for rejected answers" in capsys.readouterr().err
     assert not out.exists()
+
+
+SUBSET_CONFIG = "features.parts = rgb,hsv,bovw\nbovw.k = 10\n"
+
+
+def test_features_under_a_new_record_leave_no_row_of_the_old_one(dataset, tmp_path, capsys):
+    man = dataset / "manifest.tsv"
+    old, new = tmp_path / "old.cfg", tmp_path / "new.cfg"
+    old.write_text(SUBSET_CONFIG + "sift.contrast_threshold = 0.03\n")
+    new.write_text(SUBSET_CONFIG + "sift.contrast_threshold = 0.06\n")
+    out = tmp_path / "out"
+    args = ["--manifest", man, "--config", new, "--out", out]
+    assert run_stage(["features", "--manifest", man, "--config", old, "--out", out]) == 0
+    capsys.readouterr()
+    assert run_stage(["features", *args, "--sequences", "1"]) == 0
+    assert f"emptying {out / 'features'}" in capsys.readouterr().err
+    later = [r for r in read_manifest(man).rows if r.sequence != 1]
+    assert not [r for r in later if list((out / "features").glob(f"{artifact_stem(r.path)}.*"))]
+    skipped = [f"warning: missing descriptors for {r.path}: {out / 'features' / artifact_stem(r.path)}.desc"
+               for r in later]
+    for stage in ("vocab", "encode"):  # each names every row it skips
+        assert run_stage([stage, *args]) == 0
+        assert [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")] == skipped, stage
+    assert run_stage(["train", *args, "--sequences", "1"]) == 0
+    assert run_stage(["predict", *args, "--sequences", "2"]) == 2
+    assert "no feature artifacts available for the selected rows" in capsys.readouterr().err
+
+
+def test_interrupted_features_run_under_a_new_record_is_refused_by_vocab(dataset, trained, tmp_path, monkeypatch,
+                                                                         capsys):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(CONFIG + "sift.contrast_threshold = 0.06\n")
+    extract, calls = pipeline.extract_sift, []
+
+    def extract_then_interrupt(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise KeyboardInterrupt
+        return extract(*args)
+
+    monkeypatch.setattr(pipeline, "extract_sift", extract_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_features(read_manifest(dataset / "manifest.tsv"), pipeline.read_config(cfg), out,
+                              log=lambda msg: None)
+    assert len(list((out / "features").glob("*.desc"))) == 1
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert run_stage(["vocab", "--manifest", dataset / "manifest.tsv", "--config", cfg, "--out", out]) == 2
+    assert "(run the features stage first)" in capsys.readouterr().err
+
+
+COLOUR = "features.parts = rgb,hsv\n"
+
+
+@pytest.fixture(scope="module")
+def colour_features(dataset, tmp_path_factory):
+    """An artifact directory after features over rgb,hsv."""
+    out = tmp_path_factory.mktemp("colour") / "out"
+    cfg = out.parent / "colour.cfg"
+    cfg.write_text(COLOUR)
+    assert run_stage(["features", "--manifest", dataset / "manifest.tsv", "--config", cfg, "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("lines, differs", [
+    (COLOUR + "classifier.kind = svm\nclassifier.kernel = linear\n", None),
+    (COLOUR + "classifier.kind = svm\nclassifier.kernel = rbf\nclassifier.rbf_sigma = auto\n", None),
+    (COLOUR + "classifier.kind = nn\n", None),
+    (COLOUR + "classifier.kind = nn\nga.enabled = 1\n", "model.bin"),
+    ("features.parts = rgb,hsv,bovw\nbovw.k = 10\nclassifier.kind = svm\nclassifier.kernel = linear\n",
+     "features/vocab_id.txt"),
+], ids=["svm-linear", "svm-rbf-auto", "nn", "nn-ga", "svm-kmeans-bovw"])
+def test_a_model_is_refused_at_another_seed_only_when_it_read_the_seed(dataset, colour_features, tmp_path, capsys,
+                                                                      lines, differs):
+    out = tmp_path / "out"
+    words = "bovw" in lines
+    if not words:
+        shutil.copytree(colour_features, out)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(lines + "seed = 11\n")
+    args = ["--manifest", dataset / "manifest.tsv", "--config", cfg, "--out", out]
+    stages = [["features"], ["vocab", "--sequences", "1,3"], ["encode"], ["train", "--sequences", "1,3"]]
+    for stage in stages if words else stages[::3]:
+        assert run_stage([*stage[:1], *args, *stage[1:]]) == 0, stage
+    capsys.readouterr()
+    assert run_stage(["predict", *args, "--sequences", "2", "--seed", "12"]) == (2 if differs else 0)
+    if differs:
+        assert (f"{out / differs} was built with seed 11, the configuration asks for seed 12"
+                in capsys.readouterr().err)

@@ -105,8 +105,10 @@ def test_model_file_rejects_unknown_kind_code(tmp_path):
 def test_model_file_rejects_out_of_range_gallery_label(tmp_path):
     data, model = _nn_model_bytes(tmp_path)
     texts = [model.record, *model.labels, "rgb", "jeffrey"]
-    # magic, version, kind, the texts, n_labels, n_parts, weight+dim, n_items
+    # magic, version, kind, the texts, n_labels, n_parts, weight+dim, n_items,
+    # then zero bytes up to a multiple of 8
     first_index = 4 + 5 + sum(4 + len(t) for t in texts) + 4 + 4 + 12 + 4
+    first_index += -first_index % 8
     assert data[first_index : first_index + 4] == struct.pack("<I", 0)
     data[first_index : first_index + 4] = struct.pack("<I", 7)
     p = tmp_path / "label.bin"
@@ -166,9 +168,10 @@ def test_bad_model_value_is_an_error_naming_the_file(tmp_path, model, old, new, 
         load_model(path)
 
 
-def _per_row_nn_bytes(model):
-    """model.bin of an NN model as written one gallery row at a time: the
-    reference layout the packed gallery records must keep."""
+def _reference_nn_bytes(model):
+    """model.bin of an NN model written field by field: the reference layout,
+    one label index per item, then one matrix per part, each array starting
+    at a multiple of 8 bytes."""
     labels, items = model.gallery
     chunks = [_MODEL_HEADER, struct.pack("<B", 1), pack_text(model.record)]
     chunks.append(struct.pack("<I", len(model.labels)))
@@ -177,9 +180,11 @@ def _per_row_nn_bytes(model):
     for (name, measure, weight), m in zip(items.parts, items.matrices):
         chunks += [pack_text(name), pack_text(measure), struct.pack("<dI", weight, m.shape[1])]
     chunks.append(struct.pack("<I", len(items)))
-    for i, lb in enumerate(labels):
-        chunks.append(struct.pack("<I", model.labels.index(lb)))
-        chunks.extend(m[i].astype("<f8").tobytes() for m in items.matrices)
+    chunks.append(bytes(-len(b"".join(chunks)) % 8))
+    chunks.extend(struct.pack("<I", model.labels.index(lb)) for lb in labels)
+    chunks.append(bytes(4 * (len(labels) % 2)))
+    for m in items.matrices:
+        chunks.extend(struct.pack("<d", v) for v in m.ravel())
     chunks.append(np.array([model.thresholds.by_label[lb] for lb in model.labels], "<f8").tobytes())
     return b"".join(chunks)
 
@@ -190,7 +195,7 @@ def _per_row_nn_bytes(model):
     n_items=st.integers(1, 30),
     seed=st.integers(0, 2**16),
 )
-def test_nn_gallery_records_keep_the_per_row_layout(tmp_path_factory, dims, n_items, seed):
+def test_nn_gallery_is_a_label_array_then_one_matrix_per_part(tmp_path_factory, dims, n_items, seed):
     rng = np.random.default_rng(seed)
     classes = ["kitchen", "office", "corridor"]
     labels = [classes[i] for i in rng.permutation(np.arange(n_items) % len(classes))]
@@ -202,7 +207,7 @@ def test_nn_gallery_records_keep_the_per_row_layout(tmp_path_factory, dims, n_it
                             thresholds=ThresholdSet(dict(zip(used, rng.random(len(used))))))
     path = tmp_path_factory.mktemp("layout") / "model.bin"
     save_model(model, path)
-    assert path.read_bytes() == _per_row_nn_bytes(model)
+    assert path.read_bytes() == _reference_nn_bytes(model)
     again = path.with_name("again.bin")
     save_model(load_model(path), again)
     assert again.read_bytes() == path.read_bytes()
@@ -240,3 +245,19 @@ def test_save_model_holds_no_copy_of_the_model(tmp_path, build):
         tracemalloc.stop()
     assert peak < BLOCK_ALLOWANCE, peak
     assert path.stat().st_size > BLOCK_ALLOWANCE  # so one copy of the model would fail
+
+
+def test_load_model_holds_the_nn_gallery_as_views_of_the_file(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(_big_nn_model(), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, once, and the label list: no copy of the gallery
+    assert peak < size + (1 << 18), (peak, size)
+    for m in model.gallery[1].matrices:
+        assert m.flags.c_contiguous and m.flags.aligned and not m.flags.writeable
