@@ -52,6 +52,15 @@ class Reader:
             raise ValueError(f"{self.path}: bad record layout in {self.what} file") from None
         return np.frombuffer(self.data, dt, count, self._take(dt.itemsize * count))
 
+    def indices(self, count: int, bound: int, what: str) -> np.ndarray:
+        """Read-only view of the next ``count`` ``<u4`` indices; an index
+        not below ``bound`` is an error naming ``what`` it indexes."""
+        index = self.array("<u4", count)
+        bad = np.flatnonzero(index >= bound)
+        if bad.size:
+            raise ValueError(f"{self.path}: {what} index {index[bad[0]]} out of range")
+        return index
+
     def align(self) -> None:
         """Skip the zero bytes that start the next array at a multiple of 8
         bytes of the file, and so of ``data``, whose buffer CPython aligns."""

@@ -71,7 +71,9 @@ def gram_matrix(xa: np.ndarray, xb: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if xa.shape[1] != xb.shape[1]:
         raise ValueError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
     if spec.kind == "linear":
-        return xa @ xb.T + spec.c
+        k = xa @ xb.T
+        k += spec.c
+        return k
     if spec.kind == "rbf":
         return np.exp(-sq_euclidean_gram(xa, xb) / (2.0 * spec.sigma**2))
     if spec.kind == "chi2":
@@ -99,10 +101,19 @@ def median_heuristic_sigma(x: np.ndarray) -> float:
 
 @dataclass
 class BinarySvm:
-    support_vectors: np.ndarray  # (n_sv, dim)
+    """One decision function over the support vectors ``store[rows]``, in
+    that order.  The machines of one model share one read-only ``store``."""
+
+    store: np.ndarray  # (n_rows, dim) row store of the model
+    rows: np.ndarray  # (n_sv,) indices of the support vectors in store
     dual_coef: np.ndarray  # alpha_i * y_i, (n_sv,)
     bias: float
     kernel_spec: KernelSpec
+
+    @property
+    def support_vectors(self) -> np.ndarray:
+        """(n_sv, dim) support vectors, gathered from the store."""
+        return self.store[self.rows]
 
     def decision(self, x: np.ndarray) -> np.ndarray:
         """Pre-sign scores for a batch of feature vectors."""
@@ -110,15 +121,33 @@ class BinarySvm:
         return k @ self.dual_coef + self.bias
 
 
+def _row_store(x) -> np.ndarray:
+    """x as a read-only float64 row matrix, a view when it is one already."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64)).view()
+    x.flags.writeable = False
+    return x
+
+
 def svm_train(x, y, kernel_spec: KernelSpec, c: float = 10.0) -> BinarySvm:
-    """Soft-margin dual solved by SMO with Platt's working-set heuristics.
+    """Soft-margin binary SVM over the rows of x for +1/-1 labels y.
+
+    A float64 x is not copied: the machine's row store is a read-only view
+    of x itself, so x must not be written while the machine is in use.
+    """
+    x = _row_store(x)
+    return BinarySvm(x, *_smo(gram_matrix(x, x, kernel_spec), y, c), kernel_spec)
+
+
+def _smo(k: np.ndarray, y, c: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Soft-margin dual over the Gram matrix k, solved by SMO with Platt's
+    working-set heuristics.  Returns the support vectors' row indices in
+    ascending order, their alpha_i * y_i and the bias.
 
     Deterministic: the outer loop scans examples in index order and the
     second choice maximizes |E1 - E2| with fixed tie-breaking.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
-    n = x.shape[0]
+    n = k.shape[0]
     if y.shape != (n,) or not set(np.unique(y)) <= {-1.0, 1.0}:
         raise ValueError("labels must be +1/-1, one per row of x")
     if len(np.unique(y)) < 2:
@@ -126,7 +155,6 @@ def svm_train(x, y, kernel_spec: KernelSpec, c: float = 10.0) -> BinarySvm:
     if c <= 0:
         raise ValueError("C must be positive")
 
-    k = gram_matrix(x, x, kernel_spec)
     alphas = np.zeros(n)
     bias = 0.0
     errors = -y.copy()  # f(x_i) - y_i with all alphas zero
@@ -221,8 +249,8 @@ def svm_train(x, y, kernel_spec: KernelSpec, c: float = 10.0) -> BinarySvm:
         elif changed == 0:
             examine_all = True
     # keep only the support vectors
-    sv = alphas > 1e-10
-    return BinarySvm(x[sv].copy(), (alphas * y)[sv], -bias, kernel_spec)
+    sv = np.flatnonzero(alphas > 1e-10)
+    return sv, (alphas * y)[sv], -bias
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +263,15 @@ class SvmModel:
     machines: Dict[str, BinarySvm]
     kernel_spec: KernelSpec
     c: float
+
+    def __post_init__(self):
+        if len({id(m.store) for m in self.machines.values()}) != 1:
+            raise ValueError("an SVM model needs machines that share one row store")
+
+    @property
+    def store(self) -> np.ndarray:
+        """The row store that every machine's support vectors index."""
+        return next(iter(self.machines.values())).store
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         """(n_queries, n_labels) pre-sign decision scores."""
@@ -249,17 +286,21 @@ class SvmModel:
 
 
 def ova_train(x, labels: Sequence[str], kernel_spec: KernelSpec, c: float = 10.0) -> SvmModel:
-    """One binary machine per class (class vs rest)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """One binary machine per class (class vs rest), all solved over one Gram
+    matrix of x.
+
+    A float64 x is not copied: the model's row store is a read-only view of
+    x itself, so x must not be written while the model is in use.
+    """
+    x = _row_store(x)
     labels = [str(lb) for lb in labels]
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise ValueError("one-vs-all needs at least two classes")
     arr = np.array(labels)
-    machines = {}
-    for cls in classes:
-        y = np.where(arr == cls, 1.0, -1.0)
-        machines[cls] = svm_train(x, y, kernel_spec, c)
+    k = gram_matrix(x, x, kernel_spec)
+    machines = {cls: BinarySvm(x, *_smo(k, np.where(arr == cls, 1.0, -1.0), c), kernel_spec)
+                for cls in classes}
     return SvmModel(classes, machines, kernel_spec, c)
 
 

@@ -193,8 +193,9 @@ def rgb_to_hsv_planes(pixels: np.ndarray):
     pixels (max == min) get h = 0 and s = 0; black additionally v = 0.
     """
     r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
-    mx = pixels.max(axis=-1)
-    mn = pixels.min(axis=-1)
+    # pairwise over the channel views: a reduction over a length-3 axis is slow
+    mx = np.maximum(np.maximum(r, g), b)
+    mn = np.minimum(np.minimum(r, g), b)
     delta = mx - mn
 
     safe_delta = np.where(delta > 0, delta, 1.0)

@@ -1,15 +1,20 @@
 """Versioned binary serialization for trained classifier models.
 
-One container covers both families: per-class SVM machines (support
-vectors, dual coefficients, bias, kernel spec) or a nearest-neighbor
-gallery with per-class rejection thresholds.  The file holds the record
+One container covers both families: per-class SVM machines (kernel spec,
+one shared support-vector matrix, and per machine its row indices into
+that matrix, dual coefficients and bias) or a nearest-neighbor gallery
+with per-class rejection thresholds.  The file holds the record
 of what the model was trained on, as the pipeline writes it; prediction
 under a different record must be refused by the caller.
 
-The NN gallery is its parts' (name, measure id, weight, dim), then one
-``<u4`` label index per item, then one ``<f8`` (items, dim) matrix per part.
-Zero bytes start each of these arrays at a multiple of 8 bytes, so the
-loaded gallery is aligned views of the file's bytes.
+The SVM section is the kernel id and C, then once the ``<f8`` (rows, dim)
+matrix of the rows that at least one machine uses, then for each label its
+machine's bias, support-vector count, ``<u4`` row indices into that matrix
+and ``<f8`` coefficients.  The NN gallery is its parts' (name, measure id,
+weight, dim), then one ``<u4`` label index per item, then one ``<f8``
+(items, dim) matrix per part.  Zero bytes start each of these arrays at a
+multiple of 8 bytes, so the loaded row matrix and gallery are aligned views
+of the file's bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .binfile import Reader, pack_text, write_atomic
 from .classify import BinarySvm, Composite, KernelSpec, SvmModel, ThresholdSet
 from .rules import POSITIVE
 
-_MODEL_HEADER = b"PVMD" + struct.pack("<I", 3)  # tag, format version
+_MODEL_HEADER = b"PVMD" + struct.pack("<I", 4)  # tag, format version
 _KINDS = ("svm", "nn")  # kind code = index
 
 
@@ -56,15 +61,16 @@ def _model_chunks(model: ClassifierModel):
     head = [_MODEL_HEADER, struct.pack("<B", _KINDS.index(model.kind)), pack_text(model.record),
             struct.pack("<I", len(model.labels)), *map(pack_text, model.labels)]
     if model.kind == "svm":
-        yield from head
         svm = model.svm
-        yield pack_text(svm.kernel_spec.id_string())
-        yield struct.pack("<d", svm.c)
-        for lb in model.labels:
-            m = svm.machines[lb]
-            n_sv, dim = m.support_vectors.shape
-            yield struct.pack("<IId", n_sv, dim, m.bias)
-            yield _f64(m.support_vectors)
+        machines = [svm.machines[lb] for lb in model.labels]
+        used = np.unique(np.concatenate([m.rows for m in machines]))
+        head += [pack_text(svm.kernel_spec.id_string()),
+                 struct.pack("<dII", svm.c, len(used), svm.store.shape[1])]
+        yield from (*head, bytes(-sum(map(len, head)) % 8))
+        yield from (_f64(svm.store[i]) for i in used)  # each a view of its row
+        for m in machines:
+            rows = np.searchsorted(used, m.rows).astype("<u4")
+            yield from (struct.pack("<dI", m.bias, len(rows)), bytes(4), rows, bytes(-rows.nbytes % 8))
             yield _f64(m.dual_coef)
         return
     labels, items = model.gallery
@@ -97,24 +103,28 @@ def load_model(path) -> ClassifierModel:
         (c,) = r.unpack("<d")
         if not POSITIVE.admits(c):  # the rule of classifier.c
             raise ValueError(f"{path}: C must be {POSITIVE.text}, got {c!r}")
+        n_rows, dim = r.unpack("<II")
+        r.align()
+        # a read-only aligned view of the file's bytes, which every machine indexes
+        store = r.array("<f8", n_rows * dim).reshape(n_rows, dim)
+        r.finite(store)
         machines: Dict[str, BinarySvm] = {}
         for lb in labels:
-            n_sv, dim, bias = r.unpack("<IId")
-            sv = r.array("<f8", n_sv * dim).reshape(n_sv, dim)
+            bias, n_sv = r.unpack("<dI")
+            r.align()
+            rows = r.indices(n_sv, n_rows, "support vector row")
+            r.align()
             coef = r.array("<f8", n_sv)
-            r.finite(sv, coef, bias)
-            machines[lb] = BinarySvm(sv.copy(), coef.copy(), bias, spec)
+            r.finite(coef, bias)
+            machines[lb] = BinarySvm(store, rows, coef, bias, spec)
         r.end()
-        return ClassifierModel("svm", record, labels, svm=SvmModel(labels, machines, spec, c))
+        return ClassifierModel("svm", record, labels, svm=r.build(SvmModel, labels, machines, spec, c))
 
     (n_parts,) = r.unpack("<I")
     parts = [(r.text(), r.text(), *r.unpack("<dI")) for _ in range(n_parts)]
     (n_items,) = r.unpack("<I")
     r.align()
-    index = r.array("<u4", n_items)
-    bad = np.flatnonzero(index >= n_labels)
-    if bad.size:
-        raise ValueError(f"{path}: gallery label index {index[bad[0]]} out of range")
+    index = r.indices(n_items, n_labels, "gallery label")
     r.align()
     # read-only aligned views of the file's bytes, which Composite freezes in place
     matrices = [r.array("<f8", n_items * dim).reshape(n_items, dim) for *_, dim in parts]

@@ -528,17 +528,29 @@ def run_features(
 ) -> List[str]:
     """Extract configured parts for every manifest row into features/, which
     holds one features record: a run under another, or with no config_id.txt,
-    first empties it.  Unreadable images are skipped with a warning; it is
-    an error when no image succeeds.  Returns the image paths that produced
-    artifacts."""
+    first empties it and writes the record to config_id.pending, which it
+    replaces with config_id.txt once every row is done.  A run that finds
+    only a pending record of its own configuration resumes: each row's
+    .hash decides whether it is extracted again.  Unreadable images are
+    skipped with a warning; it is an error when no image succeeds.  Returns
+    the image paths that produced artifacts."""
     started = time.perf_counter()
     out = Path(out_dir) / "features"
-    marker = out / "config_id.txt"
+    marker, pending = out / "config_id.txt", out / "config_id.pending"
     record = _record_text(stage_record(config, "features")).encode()
-    if out.exists() and not (marker.exists() and marker.read_bytes() == record):
-        log(f"features: no {marker} of this configuration; emptying {out}")
-        shutil.rmtree(out)
-    out.mkdir(parents=True, exist_ok=True)
+    if marker.exists():
+        current = marker.read_bytes() == record
+    elif pending.exists() and pending.read_bytes() == record:
+        log(f"features: {pending} holds this configuration; resuming the unfinished run")
+        current = True
+    else:
+        current = False
+    if not current:
+        if out.exists():
+            log(f"features: no {marker} of this configuration; emptying {out}")
+            shutil.rmtree(out)
+        out.mkdir(parents=True)
+        write_atomic(pending, [record])
     tasks = [(r.path, str(manifest.resolve(r)), str(out), config) for r in manifest.rows]
     # the pool forks every worker up front, so start no more than there are rows
     workers = min(jobs, len(tasks))
@@ -556,6 +568,7 @@ def run_features(
     if not ok:
         raise DataError("feature extraction failed for every manifest row")
     write_atomic(marker, [record])
+    pending.unlink(missing_ok=True)
     log(f"features: {len(ok)}/{len(tasks)} images in {time.perf_counter() - started:.1f}s")
     return ok
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placevision import classify
 from placevision.classify import (
     UNKNOWN,
     Composite,
@@ -228,6 +230,49 @@ def test_two_class_ova_agrees_with_binary_sign():
 def test_ova_needs_two_classes():
     with pytest.raises(ValueError):
         ova_train(np.ones((3, 2)), ["a", "a", "a"], KernelSpec("linear"))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("linear", c=0.5), KernelSpec("rbf", sigma=0.8), KernelSpec("chi2")],
+                         ids=["linear", "rbf", "chi2"])
+def test_ova_train_solves_every_class_over_one_gram_as_svm_train_does(monkeypatch, spec):
+    rng = np.random.default_rng(10)
+    x = rng.random((45, 6))
+    labels = [f"room{i % 4}" for i in range(45)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gram_matrix(*args)
+
+    monkeypatch.setattr(classify, "gram_matrix", counted)
+    model = ova_train(x, labels, spec, c=3.0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for cls in model.labels:
+        one = svm_train(x, np.where(np.array(labels) == cls, 1.0, -1.0), spec, c=3.0)
+        m = model.machines[cls]
+        assert m.store is model.store
+        assert m.support_vectors.tobytes() == one.support_vectors.tobytes()
+        assert m.dual_coef.tobytes() == one.dual_coef.tobytes()
+        assert m.bias == one.bias
+
+
+def test_ova_train_holds_one_gram_and_no_copy_of_the_support_vectors():
+    rng = np.random.default_rng(12)
+    n, dim, classes = 300, 2000, 6
+    x = rng.random((classes, dim))[np.arange(n) % classes] + 0.5 * rng.random((n, dim))
+    labels = [f"room{i % classes}" for i in range(n)]
+    ova_train(x[:12], labels[:12], KernelSpec("linear"))  # numpy's lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        model = ova_train(x, labels, KernelSpec("linear"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n Gram and O(n) vectors; a copy of 16 support vectors would fail
+    assert peak < n * n * 8 + (1 << 18), peak
+    assert sum(len(m.rows) for m in model.machines.values()) > 16
+    assert np.shares_memory(model.store, x)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from placevision.classify import Composite
 from placevision.image import Image, load_pnm, write_pnm
 from placevision.modelio import load_model, save_model
 from placevision.pipeline import artifact_stem, parse_config_text, read_manifest
+from tests.test_modelio import _first_row_index_offset
 
 CONFIG = """
 features.parts = rgb,hsv,bovw
@@ -749,6 +750,23 @@ def test_predict_on_a_non_finite_gallery_is_data_error_naming_the_model(dataset,
     assert f"{path}: non-finite value in model file" in capsys.readouterr().err
 
 
+def test_predict_on_an_out_of_range_support_vector_row_is_data_error_naming_the_model(
+        dataset, trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / "model.bin"
+    model = load_model(path)
+    n_rows = len(model.svm.store)
+    data = bytearray(path.read_bytes())
+    at = _first_row_index_offset(model, data)
+    data[at : at + 4] = n_rows.to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run_stage(["predict", "--manifest", dataset / "manifest.tsv",
+                      "--config", dataset / "pipeline.cfg", "--out", out]) == 2
+    assert f"{path}: support vector row index {n_rows} out of range" in capsys.readouterr().err
+
+
 INCREMENTAL = "vocab.builder = incremental\n"
 
 
@@ -1151,6 +1169,54 @@ def test_interrupted_features_run_under_a_new_record_is_refused_by_vocab(dataset
     capsys.readouterr()
     assert run_stage(["vocab", "--manifest", dataset / "manifest.tsv", "--config", cfg, "--out", out]) == 2
     assert "(run the features stage first)" in capsys.readouterr().err
+
+
+def _interrupt_sift_at(monkeypatch, call=None):
+    """Count the calls of extract_sift, raising KeyboardInterrupt on the
+    ``call``-th if one is given; returns the list of calls."""
+    extract, calls = pipeline.extract_sift, []
+
+    def extract_then_interrupt(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise KeyboardInterrupt
+        return extract(*args)
+
+    monkeypatch.setattr(pipeline, "extract_sift", extract_then_interrupt)
+    return calls
+
+
+def test_interrupted_features_run_resumes_under_its_own_record_only(dataset, tmp_path, monkeypatch, capsys):
+    manifest = read_manifest(dataset / "manifest.tsv")
+    config = pipeline.read_config(dataset / "pipeline.cfg")
+    out = tmp_path / "out"
+    features = out / "features"
+    _interrupt_sift_at(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_features(manifest, config, out, log=lambda msg: None)
+    done = sorted(features.glob("*.desc"))
+    assert len(done) == 2 and not (features / "config_id.txt").exists()
+    mtimes = [p.stat().st_mtime_ns for p in done]
+    interrupted = tmp_path / "interrupted"
+    shutil.copytree(out, interrupted)
+
+    calls = _interrupt_sift_at(monkeypatch)
+    logged = []
+    pipeline.run_features(manifest, config, out, log=logged.append)
+    assert len(calls) == len(manifest.rows) - 2  # only the rows without a .hash
+    assert [p.stat().st_mtime_ns for p in done] == mtimes
+    assert sum("resuming the unfinished run" in line for line in logged) == 1
+    assert sorted(p.name for p in features.glob("config_id.*")) == ["config_id.txt"]
+    monkeypatch.undo()
+    assert run_stage(["vocab", "--manifest", dataset / "manifest.tsv", "--config", dataset / "pipeline.cfg",
+                      "--out", out]) == 0
+
+    # under another record, the pending run is not resumed but emptied
+    other = pipeline.parse_config_text(CONFIG + "sift.contrast_threshold = 0.06\n")
+    _interrupt_sift_at(monkeypatch, 1)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_features(manifest, other, interrupted, log=lambda msg: None)
+    assert not list((interrupted / "features").glob("*.desc"))
 
 
 COLOUR = "features.parts = rgb,hsv\n"

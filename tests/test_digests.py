@@ -2,6 +2,7 @@
 whole-tree digests two checkouts must share.  These tests keep it complete:
 every choice of every configuration key is used by some run."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -108,7 +109,19 @@ def test_measures_left_out_as_vocab_distance_refuse_raw_descriptors(measure_id):
 
 def test_one_run_prints_its_tree_digest(digests, tmp_path):
     got = digests.digests(ROOT / "src", tmp_path, jobs=1, only=["sift/criterion10-svm"])
-    assert list(got) == ["sift/criterion10-svm"] and re.fullmatch(r"[0-9a-f]{64}", got["sift/criterion10-svm"])
+    tree = got["sift/criterion10-svm"]["tree"]
+    assert list(got) == ["sift/criterion10-svm"] and re.fullmatch(r"[0-9a-f]{64}", tree)
     out = tmp_path / "runs" / "sift" / "criterion10-svm"
-    assert got["sift/criterion10-svm"] == digests.tree_sha256(out)
+    assert tree == digests.tree_sha256(out)
     assert {"vocab.bin", "model.bin", "predictions.csv"} <= {p.name for p in out.iterdir()}
+
+
+def test_files_lists_the_sha256_of_every_file_of_a_run(digests, tmp_path):
+    got = digests.digests(ROOT / "src", tmp_path, jobs=1, only=["sift/nn-ga"])
+    out = tmp_path / "runs" / "sift" / "nn-ga"
+    assert list(got) == ["sift/nn-ga"] and got["sift/nn-ga"]["tree"] == digests.tree_sha256(out)
+    listed = got["sift/nn-ga"]["files"]
+    on_disk = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
+    assert sorted(listed) == sorted(on_disk) and "report/confusion.csv" in listed
+    for name, path in on_disk.items():
+        assert listed[name] == hashlib.sha256(path.read_bytes()).hexdigest(), name

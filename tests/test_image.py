@@ -133,6 +133,40 @@ def test_hsv_inverse_reconstructs_chromatic_pixels(rgb):
     assert np.allclose(_hsv_to_rgb(h, s, v), rgb, atol=1e-9)
 
 
+def _hsv_by_reduction(pixels):
+    """The reference: rgb_to_hsv_planes with max and min taken as reductions
+    over the channel axis."""
+    r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
+    mx = pixels.max(axis=-1)
+    delta = mx - pixels.min(axis=-1)
+    safe_delta = np.where(delta > 0, delta, 1.0)
+    hp = np.where(
+        r >= mx,
+        (g - b) / safe_delta,
+        np.where(g >= mx, 2.0 + (b - r) / safe_delta, 4.0 + (r - g) / safe_delta),
+    )
+    h = np.where(delta > 0, (hp * 60.0) % 360.0, 0.0)
+    s = np.where(mx > 0, delta / np.where(mx > 0, mx, 1.0), 0.0)
+    return h, s, mx
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (6, 5)])
+def test_hsv_planes_are_the_bytes_of_the_channel_reduction(lead):
+    rng = np.random.default_rng(len(lead))
+    n = int(np.prod(lead, dtype=int))
+    pixels = rng.integers(0, 256, (max(n, 1) * 8, 3)) / 255.0  # 8-bit levels, so ties occur
+    special = [[0, 0, 0], [0.5, 0.5, 0.5], [1, 1, 1], [0.75, 0.75, 0.25],
+               [0.25, 0.75, 0.75], [0.75, 0.25, 0.75], [1, 0, 0], [0, 0.5, 1]]
+    pixels[: len(special)] = special
+    pixels = rng.permutation(pixels)
+    for start in range(0, len(pixels), max(n, 1)):
+        block = pixels[start : start + max(n, 1)].reshape(*lead, 3)
+        got, want = rgb_to_hsv_planes(block), _hsv_by_reduction(block)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == lead
+            assert a.tobytes() == b.tobytes()
+
+
 def test_gaussian_kernel_sums_to_one():
     for sigma in (0.4, 1.0, 1.6, 3.7):
         assert abs(gaussian_kernel1d(sigma).sum() - 1.0) < 1e-12

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placevision.binfile import pack_text
-from placevision.classify import BinarySvm, Composite, KernelSpec, SvmModel, ThresholdSet, ova_train
+from placevision.classify import (BinarySvm, Composite, KernelSpec, SvmModel, ThresholdSet, gram_matrix,
+                                  ova_train)
 from placevision.modelio import _MODEL_HEADER, ClassifierModel, load_model, save_model
 from tests.test_bovw import BLOCK_ALLOWANCE
 from tests.test_classify import labeled, make_cf
@@ -39,6 +40,24 @@ def test_svm_model_round_trip(tmp_path):
     # identical content, identical bytes
     save_model(model, tmp_path / "model2.bin")
     assert path.read_bytes() == (tmp_path / "model2.bin").read_bytes()
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", sigma=0.7), KernelSpec("chi2")],
+                         ids=["linear", "rbf", "chi2"])
+def test_svm_scores_are_each_machines_kernel_over_its_training_rows(tmp_path, spec):
+    rng = np.random.default_rng(11)
+    x = rng.random((3, 5))[np.arange(40) % 3] + 0.2 * rng.random((40, 5))
+    labels = [f"room{i % 3}" for i in range(40)]
+    svm = ova_train(x, labels, spec, c=2.0)
+    queries = rng.random((9, 5))
+    reference = np.stack([gram_matrix(queries, x[m.rows], spec) @ m.dual_coef + m.bias
+                          for m in (svm.machines[lb] for lb in svm.labels)], axis=1)
+    path = tmp_path / "model.bin"
+    save_model(ClassifierModel("svm", "cfg", svm.labels, svm=svm), path)
+    back = load_model(path).svm
+    assert len(back.store) < len(x)  # only the rows some machine uses
+    assert svm.scores(queries).tobytes() == reference.tobytes()
+    assert back.scores(queries).tobytes() == reference.tobytes()
 
 
 def test_nn_model_round_trip(tmp_path):
@@ -132,9 +151,10 @@ _NAN = struct.pack("<d", np.nan)
 
 def _svm_model():
     spec = KernelSpec("rbf", sigma=1.5)
+    store = np.array([[0.125, 0.375], [0.25, 0.5]])
     machines = {
-        "a": BinarySvm(np.array([[0.125, 0.375]]), np.array([0.625]), 0.875, spec),
-        "b": BinarySvm(np.array([[0.25, 0.5]]), np.array([-0.625]), -0.875, spec),
+        "a": BinarySvm(store, np.array([0]), np.array([0.625]), 0.875, spec),
+        "b": BinarySvm(store, np.array([1]), np.array([-0.625]), -0.875, spec),
     }
     return ClassifierModel("svm", "cfg", ["a", "b"], svm=SvmModel(["a", "b"], machines, spec, 4.0))
 
@@ -213,13 +233,86 @@ def test_nn_gallery_is_a_label_array_then_one_matrix_per_part(tmp_path_factory, 
     assert again.read_bytes() == path.read_bytes()
 
 
+def _reference_svm_bytes(model):
+    """model.bin of an SVM model written field by field: the reference layout,
+    the used rows once, then each machine's bias, count, row indices into
+    them and coefficients, each array starting at a multiple of 8 bytes."""
+    svm = model.svm
+    used = sorted({int(i) for m in svm.machines.values() for i in m.rows})
+    chunks = [_MODEL_HEADER, struct.pack("<B", 0), pack_text(model.record)]
+    chunks.append(struct.pack("<I", len(model.labels)))
+    chunks.extend(pack_text(lb) for lb in model.labels)
+    chunks.append(pack_text(svm.kernel_spec.id_string()))
+    chunks.append(struct.pack("<dII", svm.c, len(used), svm.store.shape[1]))
+    chunks.append(bytes(-len(b"".join(chunks)) % 8))
+    chunks.extend(struct.pack("<d", v) for i in used for v in svm.store[i])
+    for lb in model.labels:
+        m = svm.machines[lb]
+        chunks += [struct.pack("<dI", m.bias, len(m.rows)), bytes(4)]
+        chunks.extend(struct.pack("<I", used.index(int(i))) for i in m.rows)
+        chunks.append(bytes(4 * (len(m.rows) % 2)))
+        chunks.extend(struct.pack("<d", v) for v in m.dual_coef)
+    return b"".join(chunks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(1, 20),
+    dim=st.integers(1, 12),
+    n_labels=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_svm_section_is_the_used_rows_once_then_each_machines_indices(tmp_path_factory, n_rows, dim,
+                                                                      n_labels, seed):
+    rng = np.random.default_rng(seed)
+    store = rng.random((n_rows, dim))
+    spec = KernelSpec("rbf", sigma=0.5)
+    labels = [f"room{i}" for i in range(n_labels)]
+    machines = {}
+    for lb in labels:
+        rows = np.flatnonzero(rng.random(n_rows) < 0.5)  # ascending, maybe none, maybe shared
+        machines[lb] = BinarySvm(store, rows, rng.normal(size=len(rows)), float(rng.normal()), spec)
+    model = ClassifierModel("svm", "cfg", labels, svm=SvmModel(labels, machines, spec, 2.5))
+    path = tmp_path_factory.mktemp("layout") / "model.bin"
+    save_model(model, path)
+    assert path.read_bytes() == _reference_svm_bytes(model)
+    back = load_model(path)
+    for lb in labels:
+        assert back.svm.machines[lb].support_vectors.tobytes() == machines[lb].support_vectors.tobytes()
+    again = path.with_name("again.bin")
+    save_model(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _first_row_index_offset(model, data: bytes) -> int:
+    """Where the first machine's first row index sits in the bytes of model.bin."""
+    store = model.svm.store.tobytes()
+    assert data.count(store) == 1
+    return data.index(store) + len(store) + 16  # after the store, the bias, the count and 4 zero bytes
+
+
+def test_out_of_range_support_vector_row_is_an_error_naming_the_file(tmp_path):
+    model = _svm_model()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = bytearray(path.read_bytes())
+    at = _first_row_index_offset(model, data)
+    assert data[at : at + 4] == struct.pack("<I", 0)
+    data[at : at + 4] = struct.pack("<I", 2)  # the store has rows 0 and 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: support vector row index 2 out of range')}$"):
+        load_model(path)
+
+
 def _big_svm_model() -> ClassifierModel:
-    """Four linear machines of 400 support vectors in 256 dims: 3.3 MB."""
+    """Four linear machines of 400 support vectors each, over a shared store of
+    1,600 rows in 256 dims: 3.3 MB."""
     rng = np.random.default_rng(8)
     labels = ["a", "b", "c", "d"]
     spec = KernelSpec("linear")
-    machines = {lb: BinarySvm(rng.random((400, 256)), rng.normal(size=400), 0.5, spec)
-                for lb in labels}
+    store = rng.random((1600, 256))
+    machines = {lb: BinarySvm(store, np.arange(i, 1600, 4), rng.normal(size=400), 0.5, spec)
+                for i, lb in enumerate(labels)}
     return ClassifierModel("svm", "cfg", labels, svm=SvmModel(labels, machines, spec, 10.0))
 
 
@@ -261,3 +354,22 @@ def test_load_model_holds_the_nn_gallery_as_views_of_the_file(tmp_path):
     assert peak < size + (1 << 18), (peak, size)
     for m in model.gallery[1].matrices:
         assert m.flags.c_contiguous and m.flags.aligned and not m.flags.writeable
+
+
+def test_load_model_holds_the_svm_rows_once_as_views_of_the_file(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(_big_svm_model(), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        svm = load_model(path).svm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, once: no machine holds a copy of its support vectors
+    assert peak < size + (1 << 18), (peak, size)
+    assert size > 3 << 20
+    store = svm.store
+    assert store.shape == (1600, 256)
+    assert store.flags.c_contiguous and store.flags.aligned and not store.flags.writeable
+    assert all(m.store is store for m in svm.machines.values())

@@ -11,8 +11,10 @@ encode, then predict and evaluate on sequence 2.  Across the runs every
 choice of every configuration key appears at least once, where it is used
 (``tests/test_digests.py`` checks this against ``pipeline._CONFIG_KEYS``).
 The gallery-nn benchmark configuration follows on its dataset seed 1000 at
-config seeds 7-30.  The script prints one JSON object: run name -> sha256
-over the run's artifact directory: relative paths, byte counts and bytes.
+config seeds 7-30.  The script prints one JSON object: run name ->
+``{"tree": sha256 over the run's artifact directory (relative paths, byte
+counts and bytes), "files": {relative path: sha256 of the file}}``, so a
+diff of two outputs shows which files of a run differ.
 
 ``--src`` names the ``src`` directory whose ``placevision`` runs (default:
 this checkout's), so one copy of this script digests any checkout.  Artifact
@@ -117,6 +119,12 @@ def tree_sha256(root: Path) -> str:
     return h.hexdigest()
 
 
+def file_sha256s(root: Path) -> dict:
+    """Relative path -> sha256 of every file under ``root``, in path order."""
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(p for p in root.rglob("*") if p.is_file())}
+
+
 def _import_placevision(src: Path):
     sys.path.insert(0, str(src))
     from placevision import cli
@@ -170,7 +178,7 @@ def digests(src: Path, work: Path, jobs: int, only=()) -> dict:
         cfg = out.parent / f"{out.name}.cfg"
         cfg.write_text(text)
         _pipeline(cli, data, cfg, out, jobs)
-        result[name] = tree_sha256(out)
+        result[name] = {"tree": tree_sha256(out), "files": file_sha256s(out)}
     return result
 
 
